@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyDataError,
-    StateError,
     UnderflowError,
 )
 from .experiments import (
@@ -26,17 +25,7 @@ from .experiments import (
     run_experiment,
     scheme_preset,
 )
-from .process import (
-    BallSystem,
-    FragmentationPolicy,
-    Lineage,
-    RandomStream,
-    consolidate_step,
-    cycle,
-    fragment_step,
-    new_system,
-    run,
-)
+from .process import BallSystem, RandomStream, new_system, run
 from .stats import (
     BENFORD_PCT,
     BenfordReport,
@@ -65,20 +54,14 @@ __all__ = [
     "DomainError",
     "EmptyDataError",
     "ExperimentConfig",
-    "FragmentationPolicy",
-    "Lineage",
     "LogHistogram",
     "RandomStream",
-    "StateError",
     "UnderflowError",
     "analyze",
     "benford_distribution",
     "benford_expected",
-    "consolidate_step",
-    "cycle",
     "earthquake_fixture",
     "first_significant_digit",
-    "fragment_step",
     "load_config",
     "log_histogram",
     "new_system",

@@ -85,6 +85,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.hist_bin_width) and args.hist_bin_width > 0.0):
+        raise ConfigError(
+            f"--hist-bin-width must be a positive finite number, got {args.hist_bin_width!r}"
+        )
     config = _resolve_config(args)
     print(f"seed: {config.seed}", file=sys.stderr)
     values, records = run_experiment(config)
@@ -150,9 +154,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not values:
         print(f"error: {args.input}: no data values found", file=sys.stderr)
         return _EXIT_RUNTIME
-    tally = stats.tally_digits(values)
     report = stats.analyze(values)
-    _emit(_render_analysis(tally, report, args.format), args.out)
+    _emit(_render_analysis(report, args.format), args.out)
     return _EXIT_OK
 
 
@@ -186,11 +189,11 @@ def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
     return values, bad
 
 
-def _render_analysis(tally: stats.DigitTally, report: stats.BenfordReport, format: str) -> str:
+def _render_analysis(report: stats.BenfordReport, format: str) -> str:
     if format == "json":
         payload = {
             "n": report.n,
-            "counts": list(tally.counts),
+            "counts": list(report.counts),
             "proportions_pct": list(report.proportions_pct),
             "benford_pct": list(stats.BENFORD_PCT),
             "ssd": report.ssd,
@@ -203,7 +206,7 @@ def _render_analysis(tally: stats.DigitTally, report: stats.BenfordReport, forma
     lines = ["digit,count,observed_pct,benford_pct"]
     for d in range(9):
         lines.append(
-            f"{d + 1},{tally.counts[d]},{report.proportions_pct[d]:.4f},{stats.BENFORD_PCT[d]:.4f}"
+            f"{d + 1},{report.counts[d]},{report.proportions_pct[d]:.4f},{stats.BENFORD_PCT[d]:.4f}"
         )
     lines.append("")
     lines.append("metric,value")
@@ -217,9 +220,7 @@ def _render_analysis(tally: stats.DigitTally, report: stats.BenfordReport, forma
 def cmd_presets(args: argparse.Namespace) -> int:
     for name in PRESET_NAMES:
         config = scheme_preset(name, seed=0)
-        policy = config.policy.kind
-        if config.policy.p is not None:
-            policy = f"{policy} ratio={config.policy.p:g}"
+        policy = "uniform" if config.ratio is None else f"fixed ratio={config.ratio:g}"
         print(
             f"{name}: L={config.ball_count} C={config.cycles} {policy} "
             f"V={config.initial_value:g} checkpoints={','.join(map(str, config.checkpoints))}"

@@ -14,11 +14,7 @@ class EmptyDataError(BenfordSimError, ValueError):
 
 
 class ConfigError(BenfordSimError, ValueError):
-    """An experiment or policy configuration is invalid."""
-
-
-class StateError(BenfordSimError, RuntimeError):
-    """A ball system is in a state where the requested step is impossible."""
+    """An experiment configuration or split ratio is invalid."""
 
 
 class UnderflowError(BenfordSimError, ArithmeticError):

@@ -1,7 +1,7 @@
 """Named experiment presets, staged checkpoint runs, and table rendering.
 
 An experiment is a fully pinned run: ball count, initial value, cycle count,
-fragmentation policy, seed, and the cycle numbers at which the system is
+split ratio, seed, and the cycle numbers at which the system is
 snapshotted and analyzed into one table row each. Presets cover the three
 reference schemes (A: 2000 balls, 8000 uniform-split cycles; B: 1500 balls,
 10000 cycles at a fixed 50/50 split; C: 1000 balls, 3000 cycles at a fixed
@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import stats
 from .errors import ConfigError
-from .process import BallSystem, FragmentationPolicy, RandomStream, new_system, run
+from .process import RandomStream, check_ratio, new_system, run
 
 __all__ = [
     "PRESET_NAMES",
@@ -41,23 +41,29 @@ _FIXTURE_FILE = "earthquake_intervals.csv"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully pinned run; the seed is mandatory so every run is replayable."""
+    """One fully pinned run; the seed is mandatory so every run is replayable.
+
+    ``ratio`` is None for a fresh Uniform(0, 1) split ratio each cycle, or a
+    fixed float in (0, 1). ``seed`` is an integer in [0, 2**64).
+    """
 
     ball_count: int
     initial_value: float
     cycles: int
-    policy: FragmentationPolicy
+    ratio: float | None
     seed: int
     checkpoints: tuple[int, ...]
-    lineage_enabled: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.ball_count, int) or self.ball_count < 1:
             raise ConfigError(f"ball_count must be a positive integer, got {self.ball_count!r}")
         if not (self.initial_value > 0.0) or not math.isfinite(self.initial_value):
             raise ConfigError(f"initial_value must be strictly positive, got {self.initial_value!r}")
-        if self.cycles < 0:
-            raise ConfigError(f"cycles must be non-negative, got {self.cycles!r}")
+        if not isinstance(self.cycles, int) or self.cycles < 0:
+            raise ConfigError(f"cycles must be a non-negative integer, got {self.cycles!r}")
+        check_ratio(self.ratio)
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         for a, b in zip(self.checkpoints, self.checkpoints[1:]):
             if a >= b:
                 raise ConfigError(f"checkpoints must be strictly increasing, got {self.checkpoints}")
@@ -102,35 +108,35 @@ _PRESETS: Mapping[str, dict] = {
         ball_count=2000,
         initial_value=1.0,
         cycles=8000,
-        policy=FragmentationPolicy.random_uniform(),
+        ratio=None,
         checkpoints=(8000,),
     ),
     "B": dict(
         ball_count=1500,
         initial_value=1.0,
         cycles=10000,
-        policy=FragmentationPolicy.fixed_ratio(0.5),
+        ratio=0.5,
         checkpoints=(10000,),
     ),
     "C": dict(
         ball_count=1000,
         initial_value=1.0,
         cycles=3000,
-        policy=FragmentationPolicy.fixed_ratio(0.85),
+        ratio=0.85,
         checkpoints=(3000,),
     ),
     "Gradual_A": dict(
         ball_count=2000,
         initial_value=1.0,
         cycles=13000,
-        policy=FragmentationPolicy.random_uniform(),
+        ratio=None,
         checkpoints=_GRADUAL_A_CHECKPOINTS,
     ),
     "Small_100": dict(
         ball_count=100,
         initial_value=1.0,
         cycles=9000,
-        policy=FragmentationPolicy.random_uniform(),
+        ratio=None,
         checkpoints=_SMALL_100_CHECKPOINTS,
     ),
 }
@@ -138,7 +144,7 @@ _PRESETS: Mapping[str, dict] = {
 PRESET_NAMES: tuple[str, ...] = tuple(_PRESETS)
 
 
-def scheme_preset(name: str, seed: int, *, lineage: bool = False) -> ExperimentConfig:
+def scheme_preset(name: str, seed: int) -> ExperimentConfig:
     """Build the named preset; the caller supplies the seed."""
     try:
         params = _PRESETS[name]
@@ -146,14 +152,12 @@ def scheme_preset(name: str, seed: int, *, lineage: bool = False) -> ExperimentC
         raise ConfigError(
             f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}"
         ) from None
-    return ExperimentConfig(seed=seed, lineage_enabled=lineage, **params)
+    return ExperimentConfig(seed=seed, **params)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[float], list[CheckpointRecord]]:
     """Run one experiment, returning the final values and one record per checkpoint."""
-    system = new_system(
-        config.ball_count, config.initial_value, track_lineage=config.lineage_enabled
-    )
+    system = new_system(config.ball_count, config.initial_value)
     rng = RandomStream(config.seed)
     records: list[CheckpointRecord] = []
 
@@ -162,7 +166,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[float], list[Checkpoi
 
     run(
         system,
-        config.policy,
+        config.ratio,
         rng,
         config.cycles,
         checkpoints=config.checkpoints,
@@ -215,10 +219,9 @@ def render_table(records: Sequence[CheckpointRecord], format: str = "csv") -> st
 
 
 _CONFIG_KEYS = frozenset(
-    {"ball_count", "initial_value", "cycles", "policy", "ratio", "seed", "checkpoints", "lineage"}
+    {"ball_count", "initial_value", "cycles", "policy", "ratio", "seed", "checkpoints"}
 )
 _REQUIRED_KEYS = ("ball_count", "initial_value", "cycles", "policy")
-_FLAG_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def parse_config(text: str, *, seed: int | None = None, source: str = "<config>") -> ExperimentConfig:
@@ -226,9 +229,9 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
 
     Recognized keys: ball_count, initial_value, cycles, policy ("uniform" or
     "fixed"), ratio (required exactly when policy is fixed), seed, checkpoints
-    (comma-separated cycle numbers), lineage (boolean flag). '#' starts a
-    comment. A ``seed`` argument overrides any seed key in the text and is
-    required when the text has none.
+    (comma-separated cycle numbers). '#' starts a comment. A ``seed``
+    argument overrides any seed key in the text and is required when the
+    text has none.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -258,11 +261,11 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
     if policy_name == "uniform":
         if "ratio" in entries:
             raise ConfigError(f"{source}: 'ratio' is only valid with policy = fixed")
-        policy = FragmentationPolicy.random_uniform()
+        ratio = None
     elif policy_name == "fixed":
         if "ratio" not in entries:
             raise ConfigError(f"{source}: policy = fixed requires a 'ratio' key")
-        policy = FragmentationPolicy.fixed_ratio(_parse_float(entries, "ratio", source))
+        ratio = _parse_float(entries, "ratio", source)
     else:
         raise ConfigError(f"{source}: policy must be 'uniform' or 'fixed', got {policy_name!r}")
 
@@ -282,23 +285,13 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
     else:
         checkpoints = (cycles,)
 
-    lineage = False
-    if "lineage" in entries:
-        try:
-            lineage = _FLAG_VALUES[entries["lineage"].lower()]
-        except KeyError:
-            raise ConfigError(
-                f"{source}: lineage must be a boolean flag, got {entries['lineage']!r}"
-            ) from None
-
     return ExperimentConfig(
         ball_count=ball_count,
         initial_value=initial_value,
         cycles=cycles,
-        policy=policy,
+        ratio=ratio,
         seed=seed,
         checkpoints=checkpoints,
-        lineage_enabled=lineage,
     )
 
 

@@ -6,45 +6,44 @@ one, so the count returns to L and the total is conserved up to float
 rounding. After enough cycles (roughly C > 2 * L) the first significant
 digits of the ball values settle close to the Benford proportions.
 
+The split ratio is ``None`` for a fresh Uniform(0, 1) draw each cycle, or a
+fixed float strictly between 0 and 1.
+
 Draw-order contract (fixed): every cycle consumes the random stream in this
-exact order - split index, split ratio (uniform policy only; a fixed ratio
-consumes no draw), first merge index, second merge index. Nothing else draws
-from the stream, so runs are bit-reproducible for a given seed, ball count,
-initial value, policy and cycle count on the same platform and build.
+exact order - split index over the L balls, split ratio (only when ``ratio``
+is None; a fixed ratio consumes no draw), index over the L + 1 balls of the
+ball removed by the merge, index over the remaining L balls of the ball that
+receives it. Nothing else draws from the stream. The stream is CPython's
+``random.Random`` seeded with the run's seed: indices come from its
+``randrange`` and ratios from its ``random``. Runs are therefore
+bit-reproducible for a given seed, ball count, initial value, ratio and cycle
+count for as long as those two methods keep their outputs for a seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConfigError, StateError, UnderflowError
+from .errors import ConfigError, UnderflowError
 
 __all__ = [
-    "RANDOM_UNIFORM",
-    "FIXED_RATIO",
     "RandomStream",
-    "FragmentationPolicy",
-    "Lineage",
     "BallSystem",
     "new_system",
-    "fragment_step",
-    "consolidate_step",
-    "cycle",
+    "check_ratio",
     "run",
 ]
-
-RANDOM_UNIFORM = "uniform"
-FIXED_RATIO = "fixed"
 
 
 class RandomStream:
     """Seeded deterministic random source for one simulation run.
 
     Wraps the stdlib Mersenne Twister; a given seed reproduces the same draw
-    sequence across process restarts. Seeds are expected to fit in 64 bits.
+    sequence across process restarts. The stdlib seeds by absolute value, so
+    callers keep seeds in [0, 2**64) (``ExperimentConfig`` enforces this).
     """
 
     def __init__(self, seed: int):
@@ -66,63 +65,18 @@ class RandomStream:
         return f"{type(self).__name__}(seed={self.seed})"
 
 
-@dataclass(frozen=True)
-class FragmentationPolicy:
-    """How a chosen ball is split: a fresh Uniform(0, 1) ratio or a fixed one.
-
-    ``kind`` is ``"uniform"`` or ``"fixed"``; ``p`` is the fixed split ratio
-    and must satisfy 0 < p < 1 (and must be absent for the uniform kind).
-    """
-
-    kind: str
-    p: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == RANDOM_UNIFORM:
-            if self.p is not None:
-                raise ConfigError("the uniform policy takes no fixed ratio")
-        elif self.kind == FIXED_RATIO:
-            if self.p is None or not (0.0 < self.p < 1.0):
-                raise ConfigError(f"fixed split ratio must be in (0, 1), got {self.p!r}")
-        else:
-            raise ConfigError(f"unknown fragmentation policy {self.kind!r}")
-
-    @classmethod
-    def random_uniform(cls) -> "FragmentationPolicy":
-        return cls(RANDOM_UNIFORM)
-
-    @classmethod
-    def fixed_ratio(cls, p: float) -> "FragmentationPolicy":
-        return cls(FIXED_RATIO, p)
-
-
-@dataclass(frozen=True)
-class Lineage:
-    """Per-ball counters approximating the algebraic shape of a ball's value.
-
-    ``addend_count`` counts the top-level additive terms the value would
-    expand to; ``factor_depth`` is the longest chain of split factors applied
-    to any of those terms. A fresh ball is a single bare term.
-    """
-
-    addend_count: int = 1
-    factor_depth: int = 0
-
-
 @dataclass
 class BallSystem:
     """The evolving multiset of strictly positive ball values.
 
     ``initial_total`` caches L * V from creation time; the running sum never
-    drifts from it by more than float rounding. ``lineage`` aligns with
-    ``values`` index by index when lineage tracking is on, else is None.
-    Ordering of ``values`` carries no meaning: the process is exchangeable
-    and removal may swap elements around.
+    drifts from it by more than float rounding. Ordering of ``values``
+    carries no meaning: the process is exchangeable and removal may swap
+    elements around.
     """
 
     values: list[float]
     initial_total: float
-    lineage: list[Lineage] | None = None
 
     def total(self) -> float:
         return math.fsum(self.values)
@@ -132,107 +86,71 @@ class BallSystem:
         return abs(self.total() - self.initial_total) / self.initial_total
 
 
-def new_system(ball_count: int, initial_value: float, *, track_lineage: bool = False) -> BallSystem:
+def new_system(ball_count: int, initial_value: float) -> BallSystem:
     """Create ``ball_count`` balls all holding ``initial_value``."""
     if not isinstance(ball_count, int) or ball_count < 1:
         raise ConfigError(f"ball count must be a positive integer, got {ball_count!r}")
     if not (initial_value > 0.0) or not math.isfinite(initial_value):
         raise ConfigError(f"initial value must be strictly positive, got {initial_value!r}")
-    lineage = [Lineage()] * ball_count if track_lineage else None
-    return BallSystem([initial_value] * ball_count, ball_count * initial_value, lineage)
+    return BallSystem([initial_value] * ball_count, ball_count * initial_value)
 
 
-def fragment_step(
-    system: BallSystem, policy: FragmentationPolicy, rng: RandomStream
-) -> tuple[BallSystem, int, float]:
-    """Split one uniformly chosen ball w into w*u and w*(1-u) in place.
-
-    Returns (system, chosen index, ratio used). The ball count grows by one
-    and the sum is preserved up to a single rounding step. Raises
-    ``UnderflowError`` if either child rounds to exactly zero.
-    """
-    values = system.values
-    i = rng.index(len(values))
-    u = policy.p if policy.kind == FIXED_RATIO else rng.uniform_open01()
-    w = values[i]
-    a = w * u
-    b = w * (1.0 - u)
-    if a == 0.0 or b == 0.0:
-        raise UnderflowError(f"splitting {w!r} at ratio {u!r} underflowed to zero")
-    values[i] = a
-    values.append(b)
-    if system.lineage is not None:
-        parent = system.lineage[i]
-        child = Lineage(parent.addend_count, parent.factor_depth + 1)
-        system.lineage[i] = child
-        system.lineage.append(child)
-    return system, i, u
-
-
-def consolidate_step(system: BallSystem, rng: RandomStream) -> tuple[BallSystem, tuple[int, int]]:
-    """Merge two uniformly chosen distinct balls into their sum, in place.
-
-    The first ball is drawn over all current balls and removed (by swapping
-    with the last element); the second is drawn over the remaining balls and
-    receives the sum. Returns (system, (first index, second index)), each
-    index as it stood at its own draw. Raises ``StateError`` with fewer than
-    two balls.
-    """
-    values = system.values
-    if len(values) < 2:
-        raise StateError(f"consolidation needs at least 2 balls, have {len(values)}")
-    j = rng.index(len(values))
-    a = values[j]
-    values[j] = values[-1]
-    values.pop()
-    k = rng.index(len(values))
-    values[k] += a
-    if system.lineage is not None:
-        lin = system.lineage
-        la = lin[j]
-        lin[j] = lin[-1]
-        lin.pop()
-        lb = lin[k]
-        lin[k] = Lineage(la.addend_count + lb.addend_count, max(la.factor_depth, lb.factor_depth))
-    return system, (j, k)
-
-
-def cycle(system: BallSystem, policy: FragmentationPolicy, rng: RandomStream) -> BallSystem:
-    """One fragmentation followed immediately by one consolidation.
-
-    Leaves the ball count unchanged. A single-ball system is valid and
-    stationary: the two fresh fragments are the only merge candidates, so
-    the cycle reassembles them (for an initial value of 1.0 this restores
-    the value bit-exactly).
-    """
-    fragment_step(system, policy, rng)
-    consolidate_step(system, rng)
-    return system
+def check_ratio(ratio: float | None) -> None:
+    """Reject a split ratio that is neither None nor a float in (0, 1)."""
+    if ratio is not None and not (isinstance(ratio, float) and 0.0 < ratio < 1.0):
+        raise ConfigError(f"fixed split ratio must be in (0, 1), got {ratio!r}")
 
 
 def run(
     system: BallSystem,
-    policy: FragmentationPolicy,
+    ratio: float | None,
     rng: RandomStream,
     cycles: int,
     checkpoints: Iterable[int] | None = None,
     on_checkpoint: Callable[[int, Sequence[float]], None] | None = None,
 ) -> BallSystem:
-    """Apply ``cycles`` full cycles, reporting snapshots at chosen cycle numbers.
+    """Apply ``cycles`` split-then-merge cycles in place, reporting snapshots.
+
+    Draws from ``rng`` follow the module's draw-order contract, so with a
+    ``RandomStream`` the run depends on CPython's ``random.Random``. The
+    split ball w becomes w*u and w*(1-u); the second fragment is appended,
+    and the merge moves the last ball into the removed ball's slot. A
+    single-ball system is valid and stationary: the two fragments are the
+    only merge candidates.
+
+    Raises ``UnderflowError`` if a fragment rounds to exactly zero; the check
+    comes before any write, so the failed cycle leaves ``values`` untouched.
 
     ``on_checkpoint`` is called with (cycle number, immutable snapshot of the
     values) at every cycle number listed in ``checkpoints``, including cycle 0
     if listed. Snapshots are copies, so callbacks can never perturb the system
     or the random stream.
     """
-    if cycles < 0:
-        raise ConfigError(f"cycle count must be non-negative, got {cycles!r}")
-    marks = frozenset(checkpoints) if checkpoints is not None else frozenset()
-    if 0 in marks and on_checkpoint is not None:
-        on_checkpoint(0, tuple(system.values))
+    check_ratio(ratio)
+    if not isinstance(cycles, int) or cycles < 0:
+        raise ConfigError(f"cycle count must be a non-negative integer, got {cycles!r}")
+    marks = frozenset(checkpoints) if checkpoints is not None and on_checkpoint else frozenset()
+    values = system.values
+    index = rng.index
+    uniform = rng.uniform_open01
+    n = len(values)
+    if 0 in marks:
+        on_checkpoint(0, tuple(values))
     for c in range(1, cycles + 1):
-        fragment_step(system, policy, rng)
-        consolidate_step(system, rng)
-        if c in marks and on_checkpoint is not None:
-            on_checkpoint(c, tuple(system.values))
+        i = index(n)
+        u = uniform() if ratio is None else ratio
+        w = values[i]
+        a = w * u
+        b = w * (1.0 - u)
+        if a == 0.0 or b == 0.0:
+            raise UnderflowError(f"splitting {w!r} at ratio {u!r} underflowed to zero")
+        values[i] = a
+        values.append(b)
+        j = index(n + 1)
+        removed = values[j]
+        values[j] = values[-1]
+        values.pop()
+        values[index(n)] += removed
+        if c in marks:
+            on_checkpoint(c, tuple(values))
     return system

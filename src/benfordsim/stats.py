@@ -60,8 +60,9 @@ class DigitTally:
 
 @dataclass(frozen=True)
 class BenfordReport:
-    """One snapshot of digit proportions and dispersion measures for a dataset."""
+    """Digit counts (``counts[i]`` for digit ``i + 1``), proportions and dispersion of a dataset."""
 
+    counts: tuple[int, ...]
     proportions_pct: tuple[float, ...]
     ssd: float
     q10: float
@@ -187,11 +188,13 @@ def log_histogram(
 def analyze(values: Sequence[float]) -> BenfordReport:
     """Full conformance report for a non-empty, strictly positive dataset."""
     _require_positive(values)
-    props = proportions_pct(tally_digits(values))
+    tally = tally_digits(values)
+    props = proportions_pct(tally)
     xs = sorted(values)
     q10 = _quantile_sorted(xs, 0.1)
     q90 = _quantile_sorted(xs, 0.9)
     return BenfordReport(
+        counts=tally.counts,
         proportions_pct=props,
         ssd=ssd(props),
         q10=q10,

@@ -12,9 +12,7 @@ import statistics
 import pytest
 
 from benfordsim import (
-    FragmentationPolicy,
     RandomStream,
-    cycle,
     earthquake_fixture,
     first_significant_digit,
     new_system,
@@ -159,10 +157,7 @@ def test_criterion_06_conservation_and_count():
         ball_count = gen.randint(1, 3000)
         cycles = gen.randint(0, 3 * ball_count)
         initial_value = 10.0 ** gen.uniform(-3.0, 3.0)
-        if case % 2 == 0:
-            policy = FragmentationPolicy.random_uniform()
-        else:
-            policy = FragmentationPolicy.fixed_ratio(gen.uniform(0.05, 0.95))
+        ratio = None if case % 2 == 0 else gen.uniform(0.05, 0.95)
         marks = sorted({0, cycles, gen.randint(0, cycles), gen.randint(0, cycles)})
         total = ball_count * initial_value
 
@@ -175,7 +170,7 @@ def test_criterion_06_conservation_and_count():
 
         run(
             new_system(ball_count, initial_value),
-            policy,
+            ratio,
             RandomStream(gen.getrandbits(63)),
             cycles,
             checkpoints=marks,
@@ -194,7 +189,7 @@ def test_criterion_07_determinism(tmp_path):
         ball_count=300,
         initial_value=1.0,
         cycles=900,
-        policy=FragmentationPolicy.random_uniform(),
+        ratio=None,
         seed=424242,
         checkpoints=(0, 450, 900),
     )
@@ -218,11 +213,8 @@ def test_criterion_07_determinism(tmp_path):
 
 def test_criterion_08_single_ball_stationarity():
     ok = True
-    for policy in (FragmentationPolicy.random_uniform(), FragmentationPolicy.fixed_ratio(0.5)):
-        system = new_system(1, 1.0)
-        rng = RandomStream(13)
-        for _ in range(1000):
-            cycle(system, policy, rng)
+    for ratio in (None, 0.5):
+        system = run(new_system(1, 1.0), ratio, RandomStream(13), 1000)
         ok = ok and system.values == [1.0]
     criterion(8, "a single-ball system is left exactly {V} after 1000 cycles", ok)
 

@@ -166,7 +166,63 @@ def test_run_invalid_config_contents_exits_2(capsys, tmp_path):
     assert "ball" in err
 
 
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_run_seed_outside_64_bits_exits_2(capsys, seed):
+    code, out, err = run_cli(capsys, "run", "--preset", "Small_100", "--seed", seed)
+    assert code == 2
+    assert "seed" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("width", ["-1", "0", "nan", "inf"])
+def test_run_bad_hist_bin_width_exits_2_before_running(capsys, tmp_path, width):
+    out_path = tmp_path / "table.csv"
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--preset",
+        "Small_100",
+        "--seed",
+        "1",
+        "--out",
+        str(out_path),
+        "--emit-hist",
+        str(tmp_path / "hist.csv"),
+        "--hist-bin-width",
+        width,
+    )
+    assert code == 2
+    assert "--hist-bin-width" in err
+    assert "seed:" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_lineage_config_key_is_unknown(capsys, tmp_path):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(
+        "ball_count = 10\ninitial_value = 1\ncycles = 30\npolicy = uniform\nseed = 1\n"
+        "lineage = true\n"
+    )
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert "unknown key 'lineage'" in err
+    assert out == ""
+
+
 # --- analyze -----------------------------------------------------------------
+
+
+def test_analyze_tallies_each_value_once(capsys, monkeypatch):
+    from benfordsim import stats
+
+    calls = []
+    tally = stats.tally_digits
+    monkeypatch.setattr(stats, "tally_digits", lambda values: calls.append(1) or tally(values))
+    code, _, _ = run_cli(capsys, "analyze", EARTHQUAKE_CSV)
+    assert code == 0
+    assert len(calls) == 1
+
 
 
 def test_analyze_earthquake_fixture(capsys):

@@ -8,7 +8,6 @@ from benfordsim import (
     CheckpointRecord,
     ConfigError,
     ExperimentConfig,
-    FragmentationPolicy,
     RandomStream,
     analyze,
     earthquake_fixture,
@@ -31,15 +30,15 @@ FIXTURE_SHA256 = "9b1cc669e5c013245c1b41d891499549c931b78fcffe966ad1edfa7dc17a13
 def test_preset_parameters():
     a = scheme_preset("A", seed=1)
     assert (a.ball_count, a.initial_value, a.cycles) == (2000, 1.0, 8000)
-    assert a.policy == FragmentationPolicy.random_uniform()
+    assert a.ratio is None
 
     b = scheme_preset("B", seed=1)
     assert (b.ball_count, b.cycles) == (1500, 10000)
-    assert b.policy == FragmentationPolicy.fixed_ratio(0.5)
+    assert b.ratio == 0.5
 
     c = scheme_preset("C", seed=1)
     assert (c.ball_count, c.cycles) == (1000, 3000)
-    assert c.policy == FragmentationPolicy.fixed_ratio(0.85)
+    assert c.ratio == 0.85
 
 
 def test_staged_preset_checkpoints():
@@ -60,15 +59,36 @@ def test_unknown_preset():
 
 
 def test_config_validation():
-    policy = FragmentationPolicy.random_uniform()
     with pytest.raises(ConfigError):
-        ExperimentConfig(0, 1.0, 10, policy, seed=1, checkpoints=(10,))
+        ExperimentConfig(0, 1.0, 10, None, seed=1, checkpoints=(10,))
     with pytest.raises(ConfigError):
-        ExperimentConfig(5, 1.0, 10, policy, seed=1, checkpoints=(3, 3))
+        ExperimentConfig(5, 1.0, 10, None, seed=1, checkpoints=(3, 3))
     with pytest.raises(ConfigError):
-        ExperimentConfig(5, 1.0, 10, policy, seed=1, checkpoints=(5, 11))
+        ExperimentConfig(5, 1.0, 10, None, seed=1, checkpoints=(5, 11))
     with pytest.raises(ConfigError):
-        ExperimentConfig(5, -1.0, 10, policy, seed=1, checkpoints=(10,))
+        ExperimentConfig(5, -1.0, 10, None, seed=1, checkpoints=(10,))
+    for bad in (0.0, 1.0, 1.5):
+        with pytest.raises(ConfigError, match="ratio"):
+            ExperimentConfig(5, 1.0, 10, bad, seed=1, checkpoints=(10,))
+
+
+@pytest.mark.parametrize("cycles", [2.5, "10", -1])
+def test_config_rejects_bad_cycles(cycles):
+    with pytest.raises(ConfigError, match="cycles"):
+        ExperimentConfig(5, 1.0, cycles, None, seed=1, checkpoints=())
+
+
+@pytest.mark.parametrize("seed", [1.5, -5, 2**64, "7"])
+def test_config_rejects_seeds_outside_64_bits(seed):
+    # The stdlib seeds by absolute value (-5 would replay seed 5) and hashes
+    # non-integers, so only integers in [0, 2**64) are accepted.
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(5, 1.0, 10, None, seed=seed, checkpoints=(10,))
+
+
+def test_config_accepts_the_seed_range_ends():
+    for seed in (0, 2**64 - 1):
+        assert ExperimentConfig(5, 1.0, 10, None, seed=seed, checkpoints=(10,)).seed == seed
 
 
 # --- run_experiment ----------------------------------------------------------
@@ -79,7 +99,7 @@ def small_config(seed=11, **overrides):
         ball_count=60,
         initial_value=1.0,
         cycles=200,
-        policy=FragmentationPolicy.random_uniform(),
+        ratio=None,
         seed=seed,
         checkpoints=(0, 100, 200),
     )
@@ -104,7 +124,7 @@ def test_records_match_independent_recomputation():
     system = new_system(config.ball_count, config.initial_value)
     run(
         system,
-        config.policy,
+        config.ratio,
         RandomStream(config.seed),
         config.cycles,
         checkpoints=config.checkpoints,
@@ -128,6 +148,23 @@ def test_same_seed_reproduces_everything():
     assert values_a == values_b
     assert records_a == records_b
     assert render_table(records_a) == render_table(records_b)
+
+
+# Final values of run_experiment(scheme_preset(p, 1)), as sha256 over one repr
+# per line. They pin the draw-order contract across versions: a change to the
+# loop, the draw order or CPython's random.Random that re-rolls a seed fails here.
+GOLDEN_FINAL_DIGESTS = {
+    "A": "5ecb09224402cfbcfe60aea4dd9a7dbe846df6495c6809ef69a63c62f14a08be",
+    "B": "fee5f462f3861a12b14c41101f5fe2def2793037d746d96a6929f8c482806340",
+    "C": "99cb855c1b1df7cc0829b7077f64ead0409c1be2210939926728c2cbe5ce06e1",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_FINAL_DIGESTS))
+def test_preset_final_values_match_golden_digest(preset):
+    values, _ = run_experiment(scheme_preset(preset, 1))
+    text = "".join(f"{v!r}\n" for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FINAL_DIGESTS[preset]
 
 
 def test_final_values_are_analyzable():
@@ -242,7 +279,6 @@ policy = fixed
 ratio = 0.85
 seed = 31415
 checkpoints = 0, 750, 1500
-lineage = true
 """
 
 
@@ -251,19 +287,17 @@ def test_parse_full_config():
     assert config.ball_count == 500
     assert config.initial_value == 2.5
     assert config.cycles == 1500
-    assert config.policy == FragmentationPolicy.fixed_ratio(0.85)
+    assert config.ratio == 0.85
     assert config.seed == 31415
     assert config.checkpoints == (0, 750, 1500)
-    assert config.lineage_enabled is True
 
 
 def test_parse_minimal_uniform_config_defaults():
     config = parse_config(
         "ball_count = 10\ninitial_value = 1\ncycles = 40\npolicy = uniform\nseed = 9\n"
     )
-    assert config.policy == FragmentationPolicy.random_uniform()
+    assert config.ratio is None
     assert config.checkpoints == (40,)
-    assert config.lineage_enabled is False
 
 
 def test_seed_argument_overrides_file_seed():
@@ -299,7 +333,7 @@ def config_text(**overrides):
         (dict(colour="blue"), "unknown key"),
         (dict(cycles="soon"), "integer"),
         (dict(initial_value="lots"), "number"),
-        (dict(lineage="maybe"), "lineage"),
+        (dict(lineage="maybe"), "lineage"),  # the removed key is now unknown
         (dict(checkpoints="1; 2"), "checkpoints"),
     ],
 )

@@ -6,23 +6,15 @@ from hypothesis import given, settings, strategies as st
 from benfordsim import (
     BallSystem,
     ConfigError,
-    FragmentationPolicy,
     RandomStream,
-    StateError,
     UnderflowError,
-    consolidate_step,
-    cycle,
-    fragment_step,
     new_system,
     run,
 )
 
-UNIFORM = FragmentationPolicy.random_uniform()
-HALVES = FragmentationPolicy.fixed_ratio(0.5)
-
 
 class ScriptedStream:
-    """Stand-in stream that records the kind of every draw it serves."""
+    """Stand-in stream that records every draw it serves, with its range for indexes."""
 
     def __init__(self, indexes, ratios=()):
         self.indexes = list(indexes)
@@ -30,7 +22,7 @@ class ScriptedStream:
         self.calls = []
 
     def index(self, n):
-        self.calls.append("index")
+        self.calls.append(("index", n))
         value = self.indexes.pop(0)
         assert 0 <= value < n
         return value
@@ -38,6 +30,14 @@ class ScriptedStream:
     def uniform_open01(self):
         self.calls.append("ratio")
         return self.ratios.pop(0)
+
+
+def one_cycle(values, ratio, indexes, ratios=()):
+    """Run a single cycle over ``values`` with scripted draws; returns (values, draws)."""
+    system = BallSystem(list(values), math.fsum(values))
+    stream = ScriptedStream(indexes, ratios)
+    run(system, ratio, stream, 1)
+    return system.values, stream.calls
 
 
 # --- construction ------------------------------------------------------------
@@ -62,56 +62,55 @@ def test_new_system_rejects_bad_parameters(count, value):
         new_system(count, value)
 
 
-# --- policies ----------------------------------------------------------------
+# --- ratios ------------------------------------------------------------------
 
 
 def test_fixed_ratio_bounds():
-    FragmentationPolicy.fixed_ratio(0.85)
-    for bad in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(ConfigError):
-            FragmentationPolicy.fixed_ratio(bad)
-    with pytest.raises(ConfigError):
-        FragmentationPolicy("uniform", p=0.5)
-    with pytest.raises(ConfigError):
-        FragmentationPolicy("banana")
+    run(new_system(2, 1.0), 0.85, RandomStream(1), 1)
+    for bad in (0.0, 1.0, -0.2, 1.3, math.nan, "0.5"):
+        with pytest.raises(ConfigError, match="ratio"):
+            run(new_system(2, 1.0), bad, RandomStream(1), 1)
 
 
 # --- fragmentation -----------------------------------------------------------
 
 
 def test_fragment_even_split():
-    system = BallSystem([2.0], 2.0)
-    _, i, u = fragment_step(system, HALVES, ScriptedStream([0]))
-    assert (i, u) == (0, 0.5)
-    assert system.values == [1.0, 1.0]
+    # Ball 0 splits into 1.0 + 1.0; the merge then removes the appended
+    # fragment (index 2) and adds it to the 8.0.
+    values, _ = one_cycle([2.0, 8.0], 0.5, [0, 2, 1])
+    assert values == [1.0, 9.0]
 
 
 def test_fragment_35_into_31_and_4():
-    # One ball of 35 splitting into roughly 31 and 4: ratio 31/35.
-    system = new_system(7, 35.0)
-    policy = FragmentationPolicy.fixed_ratio(31.0 / 35.0)
-    _, i, _ = fragment_step(system, policy, ScriptedStream([2]))
-    assert i == 2
-    assert len(system.values) == 8
-    assert system.values[2] == pytest.approx(31.0)
-    assert system.values[-1] == pytest.approx(4.0)
-    assert math.fsum(system.values) == pytest.approx(245.0, rel=1e-15)
+    # Seven balls of 35: one splits into roughly 31 and 4, then two 35s merge
+    # into 70 (ball 0 is removed, the 4 moves into its slot, ball 1 receives).
+    values, _ = one_cycle([35.0] * 7, 31.0 / 35.0, [2, 0, 1])
+    assert len(values) == 7
+    assert values[0] == pytest.approx(4.0)
+    assert values[1] == 70.0
+    assert values[2] == pytest.approx(31.0)
+    assert values[3:] == [35.0] * 4
+    assert math.fsum(values) == pytest.approx(245.0, rel=1e-15)
 
 
 @given(st.floats(min_value=1e-4, max_value=1e4), st.floats(min_value=1e-9, max_value=1 - 1e-9))
 def test_fragment_preserves_sum_for_any_ratio(w, u):
-    system = BallSystem([w], w)
-    fragment_step(system, FragmentationPolicy.fixed_ratio(u), ScriptedStream([0]))
-    assert math.fsum(system.values) == pytest.approx(w, rel=1e-15)
-    assert all(v > 0 for v in system.values)
+    # The merge reunites the two fragments in slot 0, so it holds their sum.
+    values, _ = one_cycle([w, 1.0], u, [0, 0, 0])
+    assert values[0] == pytest.approx(w, rel=1e-15)
+    assert values[1] == 1.0
 
 
 def test_fragment_underflow_is_an_error():
-    system = BallSystem([5e-324], 5e-324)
-    with pytest.raises(UnderflowError):
-        fragment_step(system, FragmentationPolicy.fixed_ratio(0.4), ScriptedStream([0]))
-    # the failed step must not have touched the system
-    assert system.values == [5e-324]
+    for ratio, ratios, draws in ((0.4, (), [("index", 2)]), (None, [0.4], [("index", 2), "ratio"])):
+        system = BallSystem([1.0, 5e-324], 1.0)
+        stream = ScriptedStream([1], ratios)
+        with pytest.raises(UnderflowError):
+            run(system, ratio, stream, 1)
+        # the failed cycle must not have touched the system or drawn merge indexes
+        assert system.values == [1.0, 5e-324]
+        assert stream.calls == draws
 
 
 def test_uniform_ratio_is_strictly_inside_unit_interval():
@@ -125,33 +124,31 @@ def test_uniform_ratio_is_strictly_inside_unit_interval():
 
 
 def test_consolidate_two_35s_into_70():
-    system = BallSystem([35.0, 35.0, 31.0, 4.0, 35.0, 35.0, 35.0, 35.0], 245.0)
-    _, picked = consolidate_step(system, ScriptedStream([5, 5]))
-    assert len(system.values) == 7
-    assert 70.0 in system.values
-    assert math.fsum(system.values) == pytest.approx(245.0)
-    assert picked == (5, 5)
+    values, _ = one_cycle([35.0, 35.0, 31.0, 4.0, 35.0, 35.0, 35.0], 0.5, [3, 5, 6])
+    # 4 splits into 2 + 2; the 35 at index 5 is removed, the trailing 2 takes
+    # its slot, and the 35 at index 6 receives it.
+    assert values == [35.0, 35.0, 31.0, 2.0, 35.0, 2.0, 70.0]
 
 
 def test_consolidate_2_and_70_into_72():
-    system = BallSystem([35.0, 35.0, 31.0, 2.0, 2.0, 35.0, 70.0, 35.0], 245.0)
-    consolidate_step(system, ScriptedStream([4, 6]))
-    # removing index 4 swaps the trailing 35 into its slot; the 70 at index 6
-    # then absorbs the removed 2
-    assert system.values == [35.0, 35.0, 31.0, 2.0, 35.0, 35.0, 72.0]
+    values, _ = one_cycle([35.0, 35.0, 31.0, 8.0, 35.0, 70.0, 35.0], 0.25, [3, 3, 5])
+    # 8 splits into 2 (kept at index 3) and 6 (appended). Removing index 3
+    # swaps the trailing 6 into its slot; the 70 at index 5 absorbs the 2.
+    assert values == [35.0, 35.0, 31.0, 6.0, 35.0, 72.0, 35.0]
 
 
 def test_consolidate_needs_two_balls():
-    with pytest.raises(StateError):
-        consolidate_step(new_system(1, 5.0), RandomStream(1))
+    # A split always comes first, so even a one-ball system merges over two.
+    _, calls = one_cycle([5.0], 0.5, [0, 1, 0])
+    assert calls == [("index", 1), ("index", 2), ("index", 1)]
 
 
 def test_consolidate_picks_distinct_balls():
-    # Two balls: whichever is removed, the other must receive the sum.
+    # One ball splits into 1 + 3: whichever fragment is removed, the other
+    # must receive it.
     for first in (0, 1):
-        system = BallSystem([1.0, 2.0], 3.0)
-        consolidate_step(system, ScriptedStream([first, 0]))
-        assert system.values == [3.0]
+        values, _ = one_cycle([4.0], 0.25, [0, first, 0])
+        assert values == [4.0]
 
 
 # --- cycles ------------------------------------------------------------------
@@ -159,32 +156,28 @@ def test_consolidate_picks_distinct_balls():
 
 def test_cycle_restores_count_and_total():
     system = new_system(7, 35.0)
-    rng = RandomStream(99)
-    for _ in range(500):
-        cycle(system, UNIFORM, rng)
-        assert len(system.values) == 7
+
+    def check(cycle_no, values):
+        assert len(values) == 7
         assert system.relative_drift() < 1e-9
+
+    run(system, None, RandomStream(99), 500, checkpoints=range(501), on_checkpoint=check)
 
 
 def test_single_ball_system_is_stationary():
-    for policy in (UNIFORM, HALVES):
-        system = new_system(1, 1.0)
-        rng = RandomStream(7)
-        for _ in range(1000):
-            cycle(system, policy, rng)
+    for ratio in (None, 0.5):
+        system = run(new_system(1, 1.0), ratio, RandomStream(7), 1000)
         assert system.values == [1.0]
 
 
 def test_draw_order_uniform_policy():
-    stream = ScriptedStream(indexes=[1, 0, 0], ratios=[0.25])
-    cycle(new_system(3, 9.0), UNIFORM, stream)
-    assert stream.calls == ["index", "ratio", "index", "index"]
+    _, calls = one_cycle([9.0] * 3, None, [1, 0, 0], ratios=[0.25])
+    assert calls == [("index", 3), "ratio", ("index", 4), ("index", 3)]
 
 
 def test_draw_order_fixed_policy_consumes_no_ratio():
-    stream = ScriptedStream(indexes=[1, 0, 0])
-    cycle(new_system(3, 9.0), HALVES, stream)
-    assert stream.calls == ["index", "index", "index"]
+    _, calls = one_cycle([9.0] * 3, 0.5, [1, 0, 0])
+    assert calls == [("index", 3), ("index", 4), ("index", 3)]
 
 
 # --- runs --------------------------------------------------------------------
@@ -192,20 +185,20 @@ def test_draw_order_fixed_policy_consumes_no_ratio():
 
 def test_run_zero_cycles_is_identity():
     system = new_system(5, 2.0)
-    run(system, UNIFORM, RandomStream(1), 0)
+    run(system, None, RandomStream(1), 0)
     assert system.values == [2.0] * 5
 
 
 def test_run_rejects_negative_cycles():
     with pytest.raises(ConfigError):
-        run(new_system(2, 1.0), UNIFORM, RandomStream(1), -1)
+        run(new_system(2, 1.0), None, RandomStream(1), -1)
 
 
 def test_run_fires_checkpoints_in_order_including_zero():
     seen = []
     run(
         new_system(4, 1.0),
-        UNIFORM,
+        None,
         RandomStream(3),
         10,
         checkpoints=(0, 3, 10),
@@ -222,21 +215,22 @@ def test_run_snapshots_are_copies():
     snaps = []
     system = run(
         new_system(3, 1.0),
-        UNIFORM,
+        None,
         RandomStream(5),
         4,
         checkpoints=(4,),
         on_checkpoint=lambda c, values: snaps.append(values),
     )
-    cycle(system, UNIFORM, RandomStream(6))
-    assert snaps[0] != tuple(system.values) or snaps[0] == tuple(system.values)
-    assert isinstance(snaps[0], tuple)
+    at_cycle_4 = tuple(system.values)
+    run(system, None, RandomStream(6), 1)
+    assert snaps == [at_cycle_4]
+    assert tuple(system.values) != at_cycle_4
 
 
 def test_run_is_deterministic_for_a_seed():
     def go():
         system = new_system(50, 3.0)
-        run(system, UNIFORM, RandomStream(20240607), 500)
+        run(system, None, RandomStream(20240607), 500)
         return system.values
 
     first, second = go(), go()
@@ -244,8 +238,8 @@ def test_run_is_deterministic_for_a_seed():
 
 
 def test_different_seeds_diverge():
-    a = run(new_system(50, 3.0), UNIFORM, RandomStream(1), 200).values
-    b = run(new_system(50, 3.0), UNIFORM, RandomStream(2), 200).values
+    a = run(new_system(50, 3.0), None, RandomStream(1), 200).values
+    b = run(new_system(50, 3.0), None, RandomStream(2), 200).values
     assert a != b
 
 
@@ -256,7 +250,6 @@ def test_different_seeds_diverge():
     fixed=st.none() | st.floats(min_value=0.01, max_value=0.99),
 )
 def test_conservation_and_count_properties(ball_count, seed, fixed):
-    policy = UNIFORM if fixed is None else FragmentationPolicy.fixed_ratio(fixed)
     cycles = 3 * ball_count
     system = new_system(ball_count, 1.0)
 
@@ -266,7 +259,7 @@ def test_conservation_and_count_properties(ball_count, seed, fixed):
 
     run(
         system,
-        policy,
+        fixed,
         RandomStream(seed),
         cycles,
         checkpoints=range(0, cycles + 1, max(1, cycles // 4)),
@@ -274,48 +267,3 @@ def test_conservation_and_count_properties(ball_count, seed, fixed):
     )
     assert len(system.values) == ball_count
     assert system.relative_drift() < 1e-9
-
-
-# --- lineage -----------------------------------------------------------------
-
-
-def test_lineage_fresh_system():
-    system = new_system(5, 1.0, track_lineage=True)
-    assert sum(l.addend_count for l in system.lineage) == 5
-    assert all(l.addend_count == 1 and l.factor_depth == 0 for l in system.lineage)
-
-
-def test_lineage_split_preserves_addends_and_deepens():
-    system = new_system(2, 1.0, track_lineage=True)
-    fragment_step(system, HALVES, ScriptedStream([0]))
-    assert [l.addend_count for l in system.lineage] == [1, 1, 1]
-    assert [l.factor_depth for l in system.lineage] == [1, 0, 1]
-
-
-def test_lineage_merge_sums_addends_and_keeps_max_depth():
-    system = new_system(2, 1.0, track_lineage=True)
-    fragment_step(system, HALVES, ScriptedStream([0]))
-    consolidate_step(system, ScriptedStream([1, 1]))
-    # The untouched ball (depth 0) merged into a depth-1 fragment.
-    assert sorted((l.addend_count, l.factor_depth) for l in system.lineage) == [
-        (1, 1),
-        (2, 1),
-    ]
-
-
-def test_lineage_total_addends_grow_by_the_split_balls_count():
-    system = new_system(10, 1.0, track_lineage=True)
-    rng = RandomStream(31337)
-    for _ in range(200):
-        before = sum(l.addend_count for l in system.lineage)
-        values_len = len(system.values)
-        _, split_index, _ = fragment_step(system, UNIFORM, rng)
-        split_addends = system.lineage[split_index].addend_count
-        consolidate_step(system, rng)
-        after = sum(l.addend_count for l in system.lineage)
-        assert len(system.values) == values_len
-        assert after == before + split_addends
-
-
-def test_lineage_disabled_by_default():
-    assert new_system(3, 1.0).lineage is None

@@ -240,6 +240,7 @@ def test_log_histogram_partitions_the_data(values, bin_width, origin):
 def test_analyze_earthquake_sample():
     report = analyze(earthquake_fixture())
     assert report.n == 40
+    assert report.counts == EARTHQUAKE_COUNTS
     assert report.proportions_pct == pytest.approx(EARTHQUAKE_PCT, abs=1e-12)
     # Independent recomputation of the SSD from the exact proportions.
     expected_ssd = sum(

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import stats
-from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError
+from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError, MissingSeedError
 from .experiments import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -85,9 +85,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.hist_bin_width) and args.hist_bin_width > 0.0):
+    width = args.hist_bin_width
+    if args.emit_hist and not (math.isfinite(width) and width > 0.0):
         raise ConfigError(
-            f"--hist-bin-width must be a positive finite number, got {args.hist_bin_width!r}"
+            f"--hist-bin-width must be a positive finite number, got {width!r}"
         )
     config = _resolve_config(args)
     print(f"seed: {config.seed}", file=sys.stderr)
@@ -107,10 +108,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         return scheme_preset(_canonical_preset(args.preset), seed)
     try:
         return load_config(args.config, seed=args.seed)
-    except ConfigError:
-        if args.seed is not None:
-            raise
-        # The file may simply lack a seed key; retry with a generated one.
+    except MissingSeedError:
         return load_config(args.config, seed=_generate_seed())
 
 

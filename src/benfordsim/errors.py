@@ -17,5 +17,9 @@ class ConfigError(BenfordSimError, ValueError):
     """An experiment configuration or split ratio is invalid."""
 
 
+class MissingSeedError(ConfigError):
+    """A config text has no seed key and no seed was passed in its place."""
+
+
 class UnderflowError(BenfordSimError, ArithmeticError):
     """A fragmentation produced a child that rounded to exactly zero."""

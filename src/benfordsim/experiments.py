@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import stats
-from .errors import ConfigError
+from .errors import ConfigError, MissingSeedError
 from .process import RandomStream, check_ratio, new_system, run
 
 __all__ = [
@@ -271,7 +271,9 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
 
     if seed is None:
         if "seed" not in entries:
-            raise ConfigError(f"{source}: missing required key 'seed' (or pass one explicitly)")
+            raise MissingSeedError(
+                f"{source}: missing required key 'seed' (or pass one explicitly)"
+            )
         seed = _parse_int(entries, "seed", source)
 
     if "checkpoints" in entries:

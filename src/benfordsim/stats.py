@@ -60,9 +60,8 @@ class DigitTally:
 
 @dataclass(frozen=True)
 class BenfordReport:
-    """Digit counts (``counts[i]`` for digit ``i + 1``), proportions and dispersion of a dataset."""
+    """One snapshot of digit counts, proportions and dispersion measures for a dataset."""
 
-    counts: tuple[int, ...]
     proportions_pct: tuple[float, ...]
     ssd: float
     q10: float
@@ -70,6 +69,7 @@ class BenfordReport:
     qtm: float
     oom: float
     n: int
+    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,6 @@ def analyze(values: Sequence[float]) -> BenfordReport:
     q10 = _quantile_sorted(xs, 0.1)
     q90 = _quantile_sorted(xs, 0.9)
     return BenfordReport(
-        counts=tally.counts,
         proportions_pct=props,
         ssd=ssd(props),
         q10=q10,
@@ -202,6 +201,7 @@ def analyze(values: Sequence[float]) -> BenfordReport:
         qtm=q90 / q10,
         oom=math.log10(xs[-1] / xs[0]),
         n=len(xs),
+        counts=tally.counts,
     )
 
 

@@ -91,7 +91,13 @@ def test_run_json_format(capsys):
     assert len(payload[0]["digit_pct"]) == 9
 
 
-def test_run_generates_and_reports_a_seed_when_omitted(capsys):
+def test_run_generates_and_reports_a_seed_when_omitted(capsys, tmp_path):
+    cfg = tmp_path / "noseed.cfg"
+    cfg.write_text("ball_count = 10\ninitial_value = 1\ncycles = 30\npolicy = uniform\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert "seed: " in err
+
     code, out, err = run_cli(capsys, "run", "--preset", "Small_100")
     assert code == 0
     seed_lines = [l for l in err.splitlines() if l.startswith("seed: ")]
@@ -159,11 +165,21 @@ def test_run_unknown_preset_exits_2(capsys):
 
 
 def test_run_invalid_config_contents_exits_2(capsys, tmp_path):
+    base = "initial_value = 1\ncycles = 10\npolicy = uniform\n"
+    cases = [
+        ("ball_count = -5\nseed = 1\n", "ball"),
+        ("ball_count = 10\nseed = 1\nlineage = true\n", "unknown key 'lineage'"),
+        ("ball_count = 10\nseed = -5\n", "seed"),
+        (f"ball_count = 10\nseed = {2**64}\n", "seed"),
+        ("ball_count = 10\nseed = 1.5\n", "seed"),
+    ]
     cfg = tmp_path / "broken.cfg"
-    cfg.write_text("ball_count = -5\ninitial_value = 1\ncycles = 10\npolicy = uniform\nseed = 1\n")
-    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert code == 2
-    assert "ball" in err
+    for text, fragment in cases:
+        cfg.write_text(base + text)
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2, text
+        assert fragment in err, text
+        assert out == "", text
 
 
 @pytest.mark.parametrize("seed", ["-5", str(2**64)])
@@ -198,18 +214,6 @@ def test_run_bad_hist_bin_width_exits_2_before_running(capsys, tmp_path, width):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_run_lineage_config_key_is_unknown(capsys, tmp_path):
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text(
-        "ball_count = 10\ninitial_value = 1\ncycles = 30\npolicy = uniform\nseed = 1\n"
-        "lineage = true\n"
-    )
-    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert code == 2
-    assert "unknown key 'lineage'" in err
-    assert out == ""
-
-
 # --- analyze -----------------------------------------------------------------
 
 
@@ -222,7 +226,6 @@ def test_analyze_tallies_each_value_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "analyze", EARTHQUAKE_CSV)
     assert code == 0
     assert len(calls) == 1
-
 
 
 def test_analyze_earthquake_fixture(capsys):

@@ -333,7 +333,7 @@ def config_text(**overrides):
         (dict(colour="blue"), "unknown key"),
         (dict(cycles="soon"), "integer"),
         (dict(initial_value="lots"), "number"),
-        (dict(lineage="maybe"), "lineage"),  # the removed key is now unknown
+        (dict(lineage="maybe"), "lineage"),
         (dict(checkpoints="1; 2"), "checkpoints"),
     ],
 )

@@ -14,7 +14,7 @@ from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError, M
 from .experiments import (
     PRESET_NAMES,
     ExperimentConfig,
-    load_config,
+    parse_config,
     render_table,
     run_experiment,
     scheme_preset,
@@ -106,10 +106,11 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.preset is not None:
         seed = args.seed if args.seed is not None else _generate_seed()
         return scheme_preset(_canonical_preset(args.preset), seed)
+    text = Path(args.config).read_text()
     try:
-        return load_config(args.config, seed=args.seed)
+        return parse_config(text, seed=args.seed, source=args.config)
     except MissingSeedError:
-        return load_config(args.config, seed=_generate_seed())
+        return parse_config(text, seed=_generate_seed(), source=args.config)
 
 
 def _canonical_preset(name: str) -> str:

@@ -14,10 +14,16 @@ exact order - split index over the L balls, split ratio (only when ``ratio``
 is None; a fixed ratio consumes no draw), index over the L + 1 balls of the
 ball removed by the merge, index over the remaining L balls of the ball that
 receives it. Nothing else draws from the stream. The stream is CPython's
-``random.Random`` seeded with the run's seed: indices come from its
-``randrange`` and ratios from its ``random``. Runs are therefore
-bit-reproducible for a given seed, ball count, initial value, ratio and cycle
-count for as long as those two methods keep their outputs for a seed.
+``random.Random`` seeded with the run's seed, read through two primitives.
+An index below n is ``getrandbits(k)`` with k = n.bit_length(), redrawn
+while it is >= n; a ratio is ``random()``, redrawn while it is 0.0. That
+rejection is how CPython implements ``randrange(n)``
+(``_randbelow_with_getrandbits``), so each index is the one ``randrange(n)``
+would return and the generator ends in the same state; the test
+``test_inline_rejection_matches_cpython_randrange`` guards this. Runs are
+therefore bit-reproducible for a given seed, ball count, initial value,
+ratio and cycle count for as long as ``getrandbits`` and ``random`` keep
+their outputs for a seed.
 """
 
 from __future__ import annotations
@@ -41,25 +47,20 @@ __all__ = [
 class RandomStream:
     """Seeded deterministic random source for one simulation run.
 
-    Wraps the stdlib Mersenne Twister; a given seed reproduces the same draw
-    sequence across process restarts. The stdlib seeds by absolute value, so
+    Wraps the stdlib Mersenne Twister and exposes its two primitives,
+    ``getrandbits`` and ``random``, as the bound methods themselves so a
+    draw costs one call. A given seed reproduces the same draw sequence
+    across process restarts. The stdlib seeds by absolute value, so
     callers keep seeds in [0, 2**64) (``ExperimentConfig`` enforces this).
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._rng = random.Random(seed)
-
-    def index(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return self._rng.randrange(n)
-
-    def uniform_open01(self) -> float:
-        """Uniform float on the open interval (0, 1); exact zeros are redrawn."""
-        u = self._rng.random()
-        while u == 0.0:
-            u = self._rng.random()
-        return u
+        rng = random.Random(seed)
+        #: ``getrandbits(k)``: uniform integer in [0, 2**k).
+        self.getrandbits = rng.getrandbits
+        #: ``random()``: uniform float in [0, 1).
+        self.random = rng.random
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed})"
@@ -111,11 +112,13 @@ def run(
 ) -> BallSystem:
     """Apply ``cycles`` split-then-merge cycles in place, reporting snapshots.
 
-    Draws from ``rng`` follow the module's draw-order contract, so with a
-    ``RandomStream`` the run depends on CPython's ``random.Random``. The
-    split ball w becomes w*u and w*(1-u); the second fragment is appended,
-    and the merge moves the last ball into the removed ball's slot. A
-    single-ball system is valid and stationary: the two fragments are the
+    Draws from ``rng`` follow the module's draw-order contract: ``rng``
+    provides ``getrandbits(k)`` and ``random()``, an index below n is
+    ``getrandbits(n.bit_length())`` redrawn while >= n (CPython's
+    ``randrange(n)``), and a uniform ratio is ``random()`` redrawn while 0.0.
+    The split ball w becomes w*u and w*(1-u); the second fragment is
+    appended, and the merge moves the last ball into the removed ball's slot.
+    A single-ball system is valid and stationary: the two fragments are the
     only merge candidates.
 
     Raises ``UnderflowError`` if a fragment rounds to exactly zero; the check
@@ -131,14 +134,24 @@ def run(
         raise ConfigError(f"cycle count must be a non-negative integer, got {cycles!r}")
     marks = frozenset(checkpoints) if checkpoints is not None and on_checkpoint else frozenset()
     values = system.values
-    index = rng.index
-    uniform = rng.uniform_open01
+    bits = rng.getrandbits
+    uniform = rng.random
     n = len(values)
+    n1 = n + 1
+    k = n.bit_length()
+    k1 = n1.bit_length()
     if 0 in marks:
         on_checkpoint(0, tuple(values))
     for c in range(1, cycles + 1):
-        i = index(n)
-        u = uniform() if ratio is None else ratio
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        if ratio is None:
+            u = uniform()
+            while u == 0.0:
+                u = uniform()
+        else:
+            u = ratio
         w = values[i]
         a = w * u
         b = w * (1.0 - u)
@@ -146,11 +159,16 @@ def run(
             raise UnderflowError(f"splitting {w!r} at ratio {u!r} underflowed to zero")
         values[i] = a
         values.append(b)
-        j = index(n + 1)
+        j = bits(k1)
+        while j >= n1:
+            j = bits(k1)
         removed = values[j]
         values[j] = values[-1]
         values.pop()
-        values[index(n)] += removed
+        m = bits(k)
+        while m >= n:
+            m = bits(k)
+        values[m] += removed
         if c in marks:
             on_checkpoint(c, tuple(values))
     return system

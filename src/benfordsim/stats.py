@@ -170,8 +170,8 @@ def log_histogram(
     values: Sequence[float], bin_width: float, origin: float = 0.0
 ) -> LogHistogram:
     """Bin log10 of strictly positive ``values`` into fixed-width bins."""
-    if not (bin_width > 0.0):
-        raise DomainError(f"bin width must be positive, got {bin_width!r}")
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise DomainError(f"bin width must be positive and finite, got {bin_width!r}")
     counts: dict[int, int] = {}
     for i, x in enumerate(values):
         if not (x > 0.0) or not math.isfinite(x):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,12 +92,21 @@ def test_run_json_format(capsys):
     assert len(payload[0]["digit_pct"]) == 9
 
 
-def test_run_generates_and_reports_a_seed_when_omitted(capsys, tmp_path):
+def test_run_generates_and_reports_a_seed_when_omitted(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "noseed.cfg"
     cfg.write_text("ball_count = 10\ninitial_value = 1\ncycles = 30\npolicy = uniform\n")
+    reads = []
+    read_text = Path.read_text
+
+    def counted_read_text(path):
+        reads.append(path)
+        return read_text(path)
+
+    monkeypatch.setattr(Path, "read_text", counted_read_text)
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 0
     assert "seed: " in err
+    assert reads == [cfg]  # the file without a seed key is read once
 
     code, out, err = run_cli(capsys, "run", "--preset", "Small_100")
     assert code == 0

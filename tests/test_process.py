@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,28 +15,28 @@ from benfordsim import (
 
 
 class ScriptedStream:
-    """Stand-in stream that records every draw it serves, with its range for indexes."""
+    """Stand-in stream that serves scripted raw draws and records each one, with its bit width."""
 
-    def __init__(self, indexes, ratios=()):
-        self.indexes = list(indexes)
+    def __init__(self, bits, ratios=()):
+        self.bits = list(bits)
         self.ratios = list(ratios)
         self.calls = []
 
-    def index(self, n):
-        self.calls.append(("index", n))
-        value = self.indexes.pop(0)
-        assert 0 <= value < n
+    def getrandbits(self, k):
+        self.calls.append(("bits", k))
+        value = self.bits.pop(0)
+        assert 0 <= value < 2**k
         return value
 
-    def uniform_open01(self):
+    def random(self):
         self.calls.append("ratio")
         return self.ratios.pop(0)
 
 
-def one_cycle(values, ratio, indexes, ratios=()):
+def one_cycle(values, ratio, bits, ratios=()):
     """Run a single cycle over ``values`` with scripted draws; returns (values, draws)."""
     system = BallSystem(list(values), math.fsum(values))
-    stream = ScriptedStream(indexes, ratios)
+    stream = ScriptedStream(bits, ratios)
     run(system, ratio, stream, 1)
     return system.values, stream.calls
 
@@ -103,7 +104,7 @@ def test_fragment_preserves_sum_for_any_ratio(w, u):
 
 
 def test_fragment_underflow_is_an_error():
-    for ratio, ratios, draws in ((0.4, (), [("index", 2)]), (None, [0.4], [("index", 2), "ratio"])):
+    for ratio, ratios, draws in ((0.4, (), [("bits", 2)]), (None, [0.4], [("bits", 2), "ratio"])):
         system = BallSystem([1.0, 5e-324], 1.0)
         stream = ScriptedStream([1], ratios)
         with pytest.raises(UnderflowError):
@@ -111,13 +112,6 @@ def test_fragment_underflow_is_an_error():
         # the failed cycle must not have touched the system or drawn merge indexes
         assert system.values == [1.0, 5e-324]
         assert stream.calls == draws
-
-
-def test_uniform_ratio_is_strictly_inside_unit_interval():
-    rng = RandomStream(2024)
-    for _ in range(5000):
-        u = rng.uniform_open01()
-        assert 0.0 < u < 1.0
 
 
 # --- consolidation -----------------------------------------------------------
@@ -140,7 +134,7 @@ def test_consolidate_2_and_70_into_72():
 def test_consolidate_needs_two_balls():
     # A split always comes first, so even a one-ball system merges over two.
     _, calls = one_cycle([5.0], 0.5, [0, 1, 0])
-    assert calls == [("index", 1), ("index", 2), ("index", 1)]
+    assert calls == [("bits", 1), ("bits", 2), ("bits", 1)]
 
 
 def test_consolidate_picks_distinct_balls():
@@ -170,14 +164,60 @@ def test_single_ball_system_is_stationary():
         assert system.values == [1.0]
 
 
+# Three balls: indexes below 3 take 2 bits, indexes below 4 take 3 bits.
+
+
 def test_draw_order_uniform_policy():
     _, calls = one_cycle([9.0] * 3, None, [1, 0, 0], ratios=[0.25])
-    assert calls == [("index", 3), "ratio", ("index", 4), ("index", 3)]
+    assert calls == [("bits", 2), "ratio", ("bits", 3), ("bits", 2)]
 
 
 def test_draw_order_fixed_policy_consumes_no_ratio():
     _, calls = one_cycle([9.0] * 3, 0.5, [1, 0, 0])
-    assert calls == [("index", 3), ("index", 4), ("index", 3)]
+    assert calls == [("bits", 2), ("bits", 3), ("bits", 2)]
+
+
+def test_draw_order_redraws_indexes_out_of_range():
+    # 3 >= 3 is redrawn as 1 (split 2.0 into 0.5 + 1.5); 7 and 4 >= 4 are
+    # redrawn as 0 (the 1.0 goes, the 1.5 takes its slot); 3 is redrawn as 2,
+    # so the 4.0 receives the 1.0.
+    values, calls = one_cycle([1.0, 2.0, 4.0], 0.25, [3, 1, 7, 4, 0, 3, 2])
+    assert values == [1.5, 0.5, 5.0]
+    assert calls == [("bits", 2)] * 2 + [("bits", 3)] * 3 + [("bits", 2)] * 2
+
+
+def test_draw_order_redraws_a_zero_ratio():
+    values, calls = one_cycle([9.0] * 3, None, [1, 0, 0], ratios=[0.0, 0.25])
+    assert values == [15.75, 2.25, 9.0]
+    assert calls == [("bits", 2), "ratio", "ratio", ("bits", 3), ("bits", 2)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 1001, 1023, 1024, 1025, 2000, 2001])
+def test_inline_rejection_matches_cpython_randrange(n, seed):
+    # run() inlines the rejection of CPython's randrange(n). It must pick the
+    # balls randrange picks (seen in the ordered final values) and leave the
+    # generator where randrange leaves it; otherwise every seed re-rolls.
+    cycles = 40
+    ref = random.Random(seed)
+    expected = [1.0] * n
+    for _ in range(cycles):
+        i = ref.randrange(n)
+        u = ref.random()
+        while u == 0.0:
+            u = ref.random()
+        w = expected[i]
+        expected[i] = w * u
+        expected.append(w * (1.0 - u))
+        j = ref.randrange(n + 1)
+        removed = expected[j]
+        expected[j] = expected[-1]
+        expected.pop()
+        expected[ref.randrange(n)] += removed
+    gen = random.Random(seed)
+    assert run(new_system(n, 1.0), None, gen, cycles).values == expected
+    assert gen.getstate() == ref.getstate()
+    assert run(new_system(n, 1.0), None, RandomStream(seed), cycles).values == expected
 
 
 # --- runs --------------------------------------------------------------------

@@ -221,8 +221,9 @@ def test_log_histogram_constant_data_single_bin():
 def test_log_histogram_rejects_non_positive():
     with pytest.raises(DomainError, match="index 1"):
         log_histogram([1.0, 0.0], bin_width=0.5)
-    with pytest.raises(DomainError):
-        log_histogram([1.0], bin_width=0.0)
+    for bad_width in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="bin width"):
+            log_histogram([0.001, 1.0, 5e6], bin_width=bad_width)
 
 
 @given(positive_lists, st.floats(min_value=0.01, max_value=2.0), st.floats(-3, 3))

@@ -25,7 +25,6 @@ from .experiments import (
     run_experiment,
     scheme_preset,
 )
-from .process import BallSystem, RandomStream, new_system, run
 from .stats import (
     BENFORD_PCT,
     BenfordReport,
@@ -33,9 +32,7 @@ from .stats import (
     LogHistogram,
     analyze,
     log_histogram,
-    oom,
     proportions_pct,
-    qtm,
     quantile,
     ssd,
     tally_digits,
@@ -45,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BENFORD_PCT",
-    "BallSystem",
     "BenfordReport",
     "BenfordSimError",
     "CheckpointRecord",
@@ -55,7 +51,6 @@ __all__ = [
     "EmptyDataError",
     "ExperimentConfig",
     "LogHistogram",
-    "RandomStream",
     "UnderflowError",
     "analyze",
     "benford_distribution",
@@ -64,14 +59,10 @@ __all__ = [
     "first_significant_digit",
     "load_config",
     "log_histogram",
-    "new_system",
-    "oom",
     "parse_config",
     "proportions_pct",
-    "qtm",
     "quantile",
     "render_table",
-    "run",
     "run_experiment",
     "scheme_preset",
     "ssd",

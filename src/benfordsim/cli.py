@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
 
 from . import stats
-from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError, MissingSeedError
+from .errors import BenfordSimError, ConfigError, MissingSeedError
 from .experiments import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -90,15 +91,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--hist-bin-width must be a positive finite number, got {width!r}"
         )
+    _check_output_dirs(args.out, args.emit_values, args.emit_hist)
     config = _resolve_config(args)
     print(f"seed: {config.seed}", file=sys.stderr)
     values, records = run_experiment(config)
     _emit(render_table(records, args.format), args.out)
     if args.emit_values:
-        Path(args.emit_values).write_text("".join(f"{v}\n" for v in values))
+        _write_output(args.emit_values, "".join(f"{v}\n" for v in values))
     if args.emit_hist:
         hist = stats.log_histogram(values, args.hist_bin_width)
-        Path(args.emit_hist).write_text(_render_histogram(hist))
+        _write_output(args.emit_hist, _render_histogram(hist))
     return _EXIT_OK
 
 
@@ -126,9 +128,39 @@ def _generate_seed() -> int:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        _write_output(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output_dirs(*paths: str | None) -> None:
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"cannot write {path}: its directory does not exist")
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    A regular or new file is written to a temp file in its own directory,
+    which is then renamed over it, so a failed write leaves neither a partial
+    file nor the temp file. The temp file is opened like ``Path.write_text``
+    opens a file, so the result has the same mode. A path that exists and is
+    not a regular file, such as /dev/null or a pipe, is written in place.
+    """
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        target.write_text(text)
+        return
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "x")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _render_histogram(hist: stats.LogHistogram) -> str:
@@ -141,6 +173,7 @@ def _render_histogram(hist: stats.LogHistogram) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_output_dirs(args.out)
     text = Path(args.input).read_text()  # OSError -> exit 2 in main()
     values, bad_lines = _parse_dataset(text)
     if bad_lines:
@@ -166,25 +199,28 @@ def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
     values: list[float] = []
     bad: list[tuple[int, str, str]] = []
     first_data_line = True
+    inf = math.inf
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
         try:
-            x = float(line)
+            x = float(raw)  # float() ignores surrounding whitespace itself
         except ValueError:
-            if first_data_line:
-                first_data_line = False
+            line = raw.strip()
+            if not line:
                 continue
-            bad.append((lineno, line, "not a number"))
-            continue
+            try:
+                x = float(line)  # str.strip() also drops "\x1f", float() does not
+            except ValueError:
+                if first_data_line:
+                    first_data_line = False
+                    continue
+                bad.append((lineno, line, "not a number"))
+                continue
         first_data_line = False
-        if math.isnan(x) or math.isinf(x):
-            bad.append((lineno, line, "not finite"))
-        elif x <= 0.0:
-            bad.append((lineno, line, "not strictly positive"))
-        else:
+        if 0.0 < x < inf:
             values.append(x)
+        else:
+            why = "not strictly positive" if -inf < x <= 0.0 else "not finite"
+            bad.append((lineno, raw.strip(), why))
     return values, bad
 
 

@@ -2,9 +2,10 @@
 
 Provides the building blocks for judging how Benford-like a dataset is:
 first-digit tallies and proportions, the sum of squared deviations from the
-Benford percentages (SSD), quantiles with linear interpolation, the
-90th/10th percentile ratio (QTM), the classical log10(max/min) order of
-magnitude (OOM), and base-10 log histograms.
+Benford percentages (SSD), quantiles with linear interpolation, and base-10
+log histograms. ``analyze`` combines them in one pass per dataset, adding
+the 90th/10th percentile ratio (QTM) and the classical log10(max/min) order
+of magnitude (OOM).
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ from .errors import DomainError, EmptyDataError
 
 __all__ = [
     "BENFORD_PCT",
-    "SSD_IDEAL_MAX",
-    "SSD_REASONABLE_MAX",
-    "SSD_DEVIANT_MIN",
-    "QTM_STRONG_MIN",
-    "QTM_FAIR_MIN",
-    "QTM_WEAK_MIN",
     "DigitTally",
     "BenfordReport",
     "LogHistogram",
@@ -31,23 +26,12 @@ __all__ = [
     "proportions_pct",
     "ssd",
     "quantile",
-    "qtm",
-    "oom",
     "log_histogram",
     "analyze",
 ]
 
 #: Benford expectation in percent, full precision, index i holds digit i + 1.
 BENFORD_PCT: tuple[float, ...] = tuple(100.0 * benford_expected(d) for d in range(1, 10))
-
-# Conventional reading guides for the measures below. They are constants for
-# reporting only; nothing in this module branches on them.
-SSD_IDEAL_MAX = 2.0  # SSD below this: ideally Benford
-SSD_REASONABLE_MAX = 25.0  # SSD below this: reasonably Benford
-SSD_DEVIANT_MIN = 100.0  # SSD above this: deviates too much
-QTM_STRONG_MIN = 100.0  # spread comfortably wide enough for Benford behaviour
-QTM_FAIR_MIN = 50.0
-QTM_WEAK_MIN = 30.0  # below this, Benford conformance is not to be expected
 
 
 @dataclass(frozen=True)
@@ -148,24 +132,6 @@ def _quantile_sorted(xs: Sequence[float], q: float) -> float:
     return xs[lo] + (h - lo) * (xs[lo + 1] - xs[lo])
 
 
-def qtm(values: Sequence[float]) -> float:
-    """Quantitative order of magnitude: the 90th percentile over the 10th.
-
-    A base-free dispersion measure for strictly positive data. It ignores the
-    lowest and highest deciles, so outliers and edge values carry no weight;
-    constant data gives exactly 1.
-    """
-    _require_positive(values)
-    xs = sorted(values)
-    return _quantile_sorted(xs, 0.9) / _quantile_sorted(xs, 0.1)
-
-
-def oom(values: Sequence[float]) -> float:
-    """Classical order of magnitude log10(max / min) of strictly positive data."""
-    _require_positive(values)
-    return math.log10(max(values) / min(values))
-
-
 def log_histogram(
     values: Sequence[float], bin_width: float, origin: float = 0.0
 ) -> LogHistogram:
@@ -186,11 +152,20 @@ def log_histogram(
 
 
 def analyze(values: Sequence[float]) -> BenfordReport:
-    """Full conformance report for a non-empty, strictly positive dataset."""
-    _require_positive(values)
+    """Full conformance report for a non-empty, strictly positive dataset.
+
+    ``qtm`` is q90 / q10 (exactly 1 for constant data); ``oom`` is
+    log10(max / min). A bad value raises ``DomainError`` naming its index:
+    the first zero, inf or NaN (found by the tally), else the first negative.
+    """
+    if len(values) == 0:
+        raise EmptyDataError("dataset is empty")
     tally = tally_digits(values)
     props = proportions_pct(tally)
     xs = sorted(values)
+    if xs[0] <= 0.0:
+        i = next(i for i, x in enumerate(values) if x <= 0.0)
+        raise DomainError(f"value at index {i} is not strictly positive: {values[i]!r}")
     q10 = _quantile_sorted(xs, 0.1)
     q90 = _quantile_sorted(xs, 0.9)
     return BenfordReport(
@@ -203,11 +178,3 @@ def analyze(values: Sequence[float]) -> BenfordReport:
         n=len(xs),
         counts=tally.counts,
     )
-
-
-def _require_positive(values: Sequence[float]) -> None:
-    if len(values) == 0:
-        raise EmptyDataError("dataset is empty")
-    for i, x in enumerate(values):
-        if not (x > 0.0) or not math.isfinite(x):
-            raise DomainError(f"value at index {i} is not strictly positive: {x!r}")

@@ -12,13 +12,10 @@ import statistics
 import pytest
 
 from benfordsim import (
-    RandomStream,
     earthquake_fixture,
     first_significant_digit,
-    new_system,
     proportions_pct,
     render_table,
-    run,
     run_experiment,
     scheme_preset,
     ssd,
@@ -27,6 +24,7 @@ from benfordsim import (
 from benfordsim.cli import main as cli_main
 from benfordsim.digits import benford_expected
 from benfordsim.experiments import ExperimentConfig
+from benfordsim.process import run
 from benfordsim.stats import log_histogram
 
 SEEDS = tuple(range(1, 11))
@@ -169,9 +167,9 @@ def test_criterion_06_conservation_and_count():
                 failures.append((case, cycle_no, "drift", drift))
 
         run(
-            new_system(ball_count, initial_value),
+            [initial_value] * ball_count,
             ratio,
-            RandomStream(gen.getrandbits(63)),
+            random.Random(gen.getrandbits(63)),
             cycles,
             checkpoints=marks,
             on_checkpoint=check,
@@ -214,8 +212,7 @@ def test_criterion_07_determinism(tmp_path):
 def test_criterion_08_single_ball_stationarity():
     ok = True
     for ratio in (None, 0.5):
-        system = run(new_system(1, 1.0), ratio, RandomStream(13), 1000)
-        ok = ok and system.values == [1.0]
+        ok = ok and run([1.0], ratio, random.Random(13), 1000) == [1.0]
     criterion(8, "a single-ball system is left exactly {V} after 1000 cycles", ok)
 
 

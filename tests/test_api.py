@@ -2,7 +2,6 @@ import benfordsim
 
 PUBLIC_NAMES = [
     "BENFORD_PCT",
-    "BallSystem",
     "BenfordReport",
     "BenfordSimError",
     "CheckpointRecord",
@@ -12,7 +11,6 @@ PUBLIC_NAMES = [
     "EmptyDataError",
     "ExperimentConfig",
     "LogHistogram",
-    "RandomStream",
     "UnderflowError",
     "analyze",
     "benford_distribution",
@@ -21,14 +19,10 @@ PUBLIC_NAMES = [
     "first_significant_digit",
     "load_config",
     "log_histogram",
-    "new_system",
-    "oom",
     "parse_config",
     "proportions_pct",
-    "qtm",
     "quantile",
     "render_table",
-    "run",
     "run_experiment",
     "scheme_preset",
     "ssd",
@@ -38,7 +32,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # Growing the package surface must be a deliberate edit of this list.
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 26
     assert benfordsim.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(benfordsim, name) is not None

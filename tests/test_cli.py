@@ -1,11 +1,15 @@
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from benfordsim.cli import main
+from benfordsim import cli
+from benfordsim.cli import _parse_dataset, main
 from benfordsim.experiments import CSV_HEADER
 
 EARTHQUAKE_CSV = "src/benfordsim/data/earthquake_intervals.csv"
@@ -224,7 +228,132 @@ def test_run_bad_hist_bin_width_exits_2_before_running(capsys, tmp_path, width):
     assert list(tmp_path.iterdir()) == []
 
 
+RUN_WITH_ALL_OUTPUTS = (
+    "run --preset Small_100 --seed 1 --out {tmp}/t.csv --emit-values {tmp}/v.txt --emit-hist {tmp}/h.csv"
+)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (RUN_WITH_ALL_OUTPUTS, "--out"),
+        (RUN_WITH_ALL_OUTPUTS, "--emit-values"),
+        (RUN_WITH_ALL_OUTPUTS, "--emit-hist"),
+        (f"analyze {EARTHQUAKE_CSV} --out {{tmp}}/r.csv", "--out"),
+    ],
+    ids=["run-out", "run-emit-values", "run-emit-hist", "analyze-out"],
+)
+def test_missing_output_directory_exits_2_before_running(capsys, tmp_path, command, flag):
+    argv = command.format(tmp=tmp_path).split()
+    argv[argv.index(flag) + 1] = str(tmp_path / "missing" / "file")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "directory does not exist" in err
+    assert "seed:" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+class HalfWriter:
+    """A file whose write stores half the text and then fails, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "rename"])
+def test_failed_write_leaves_no_partial_or_temp_file(capsys, tmp_path, monkeypatch, fail_at):
+    table = tmp_path / "table.csv"
+    table.write_text("old table\n")
+    if fail_at == "write":
+        monkeypatch.setattr(cli, "open", lambda path, mode: HalfWriter(open(path, mode)), raising=False)
+    else:
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", full_disk)
+    code, _, err = run_cli(
+        capsys, "run", "--preset", "Small_100", "--seed", "1", "--out", str(table)
+    )
+    assert code == 2
+    assert "No space left" in err
+    assert table.read_text() == "old table\n"
+    assert list(tmp_path.iterdir()) == [table]
+
+
+def test_outputs_keep_the_file_mode_links_and_pipes(capsys, tmp_path):
+    # A new file gets the mode Path.write_text gives it; a symlink keeps
+    # pointing at the file it names; a pipe (like /dev/stdout) is written in place.
+    reference = tmp_path / "reference"
+    reference.write_text("")
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    fifo = tmp_path / "values.fifo"
+    os.mkfifo(fifo)
+    hist = tmp_path / "hist.csv"
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run_cli(
+            capsys, "run", "--preset", "Small_100", "--seed", "1",
+            "--out", str(link), "--emit-values", str(fifo), "--emit-hist", str(hist),
+        )
+        piped = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0
+    assert stat.S_IMODE(hist.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    assert link.is_symlink()
+    assert real.read_text().startswith(CSV_HEADER)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert len(piped.splitlines()) == 100
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hist.csv", "link.csv", "real.csv", "reference", "values.fifo",
+    ]
+
+
 # --- analyze -----------------------------------------------------------------
+
+
+def test_parse_dataset_reports_every_kind_of_line_exactly():
+    text = (
+        "  value  \n"  # header: skipped
+        "\n"
+        "  12.5\t\n"
+        "   \n"
+        "nan\n"
+        " -inf \n"
+        "inf\n"
+        "0\n"
+        " -3.25\n"
+        "wat now\n"
+        "1e-400\n"  # rounds to 0.0
+        "7\n"
+    )
+    assert _parse_dataset(text) == (
+        [12.5, 7.0],
+        [
+            (5, "nan", "not finite"),
+            (6, "-inf", "not finite"),
+            (7, "inf", "not finite"),
+            (8, "0", "not strictly positive"),
+            (9, "-3.25", "not strictly positive"),
+            (10, "wat now", "not a number"),
+            (11, "1e-400", "not strictly positive"),
+        ],
+    )
 
 
 def test_analyze_tallies_each_value_once(capsys, monkeypatch):

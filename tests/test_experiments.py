@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -8,18 +9,16 @@ from benfordsim import (
     CheckpointRecord,
     ConfigError,
     ExperimentConfig,
-    RandomStream,
     analyze,
     earthquake_fixture,
-    new_system,
     parse_config,
     render_table,
-    run,
     run_experiment,
     scheme_preset,
     tally_digits,
 )
 from benfordsim.experiments import CSV_HEADER, PRESET_NAMES, load_config
+from benfordsim.process import run
 
 FIXTURE_SHA256 = "9b1cc669e5c013245c1b41d891499549c931b78fcffe966ad1edfa7dc17a1316"
 
@@ -86,6 +85,25 @@ def test_config_rejects_seeds_outside_64_bits(seed):
         ExperimentConfig(5, 1.0, 10, None, seed=seed, checkpoints=(10,))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ball_count", True),
+        ("cycles", True),
+        ("seed", True),
+        ("checkpoints", (2.5, 10)),
+        ("checkpoints", (True, 10)),
+    ],
+    ids=["ball_count-bool", "cycles-bool", "seed-bool", "checkpoint-2.5", "checkpoint-bool"],
+)
+def test_config_rejects_bools_and_non_int_checkpoints(field, value):
+    # A 2.5 checkpoint was accepted and its row silently never recorded.
+    params = dict(ball_count=5, initial_value=1.0, cycles=10, ratio=None, seed=1, checkpoints=(10,))
+    params[field] = value
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**params)
+
+
 def test_config_accepts_the_seed_range_ends():
     for seed in (0, 2**64 - 1):
         assert ExperimentConfig(5, 1.0, 10, None, seed=seed, checkpoints=(10,)).seed == seed
@@ -121,11 +139,10 @@ def test_records_match_independent_recomputation():
     _, records = run_experiment(config)
 
     snapshots = {}
-    system = new_system(config.ball_count, config.initial_value)
     run(
-        system,
+        [config.initial_value] * config.ball_count,
         config.ratio,
-        RandomStream(config.seed),
+        random.Random(config.seed),
         config.cycles,
         checkpoints=config.checkpoints,
         on_checkpoint=lambda c, values: snapshots.__setitem__(c, values),

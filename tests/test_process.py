@@ -4,14 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from benfordsim import (
-    BallSystem,
-    ConfigError,
-    RandomStream,
-    UnderflowError,
-    new_system,
-    run,
-)
+from benfordsim import ConfigError, ExperimentConfig, UnderflowError, run_experiment
+from benfordsim.process import run
 
 
 class ScriptedStream:
@@ -35,42 +29,48 @@ class ScriptedStream:
 
 def one_cycle(values, ratio, bits, ratios=()):
     """Run a single cycle over ``values`` with scripted draws; returns (values, draws)."""
-    system = BallSystem(list(values), math.fsum(values))
     stream = ScriptedStream(bits, ratios)
-    run(system, ratio, stream, 1)
-    return system.values, stream.calls
+    return run(list(values), ratio, stream, 1), stream.calls
 
 
-# --- construction ------------------------------------------------------------
+def config(ball_count=2, initial_value=1.0, cycles=0, ratio=None):
+    return ExperimentConfig(ball_count, initial_value, cycles, ratio, seed=1, checkpoints=())
+
+
+# --- the starting system -----------------------------------------------------
+# ExperimentConfig is the one place that checks L, V, C and the ratio;
+# run_experiment starts run() from L balls of V.
 
 
 def test_new_system_seven_balls_of_35():
-    system = new_system(7, 35.0)
-    assert system.values == [35.0] * 7
-    assert system.initial_total == 245.0
+    values, _ = run_experiment(config(7, 35.0))
+    assert values == [35.0] * 7
+    assert math.fsum(values) == 245.0
 
 
 def test_new_system_trivial_and_large():
-    assert new_system(1, 1.0).values == [1.0]
-    big = new_system(2000, 1.0)
-    assert len(big.values) == 2000
-    assert set(big.values) == {1.0}
+    assert run_experiment(config(1, 1.0))[0] == [1.0]
+    big, _ = run_experiment(config(2000, 1.0))
+    assert len(big) == 2000
+    assert set(big) == {1.0}
 
 
-@pytest.mark.parametrize("count, value", [(0, 1.0), (-3, 1.0), (5, 0.0), (5, -1.0), (5, math.inf)])
+@pytest.mark.parametrize(
+    "count, value", [(0, 1.0), (-3, 1.0), (5, 0.0), (5, -1.0), (5, math.inf), (5, math.nan)]
+)
 def test_new_system_rejects_bad_parameters(count, value):
     with pytest.raises(ConfigError):
-        new_system(count, value)
+        config(count, value)
 
 
 # --- ratios ------------------------------------------------------------------
 
 
 def test_fixed_ratio_bounds():
-    run(new_system(2, 1.0), 0.85, RandomStream(1), 1)
+    run_experiment(config(cycles=1, ratio=0.85))
     for bad in (0.0, 1.0, -0.2, 1.3, math.nan, "0.5"):
         with pytest.raises(ConfigError, match="ratio"):
-            run(new_system(2, 1.0), bad, RandomStream(1), 1)
+            config(cycles=1, ratio=bad)
 
 
 # --- fragmentation -----------------------------------------------------------
@@ -105,12 +105,12 @@ def test_fragment_preserves_sum_for_any_ratio(w, u):
 
 def test_fragment_underflow_is_an_error():
     for ratio, ratios, draws in ((0.4, (), [("bits", 2)]), (None, [0.4], [("bits", 2), "ratio"])):
-        system = BallSystem([1.0, 5e-324], 1.0)
+        values = [1.0, 5e-324]
         stream = ScriptedStream([1], ratios)
         with pytest.raises(UnderflowError):
-            run(system, ratio, stream, 1)
-        # the failed cycle must not have touched the system or drawn merge indexes
-        assert system.values == [1.0, 5e-324]
+            run(values, ratio, stream, 1)
+        # the failed cycle must not have touched the values or drawn merge indexes
+        assert values == [1.0, 5e-324]
         assert stream.calls == draws
 
 
@@ -149,19 +149,16 @@ def test_consolidate_picks_distinct_balls():
 
 
 def test_cycle_restores_count_and_total():
-    system = new_system(7, 35.0)
-
     def check(cycle_no, values):
         assert len(values) == 7
-        assert system.relative_drift() < 1e-9
+        assert abs(math.fsum(values) - 245.0) / 245.0 < 1e-9
 
-    run(system, None, RandomStream(99), 500, checkpoints=range(501), on_checkpoint=check)
+    run([35.0] * 7, None, random.Random(99), 500, checkpoints=range(501), on_checkpoint=check)
 
 
 def test_single_ball_system_is_stationary():
     for ratio in (None, 0.5):
-        system = run(new_system(1, 1.0), ratio, RandomStream(7), 1000)
-        assert system.values == [1.0]
+        assert run([1.0], ratio, random.Random(7), 1000) == [1.0]
 
 
 # Three balls: indexes below 3 take 2 bits, indexes below 4 take 3 bits.
@@ -215,31 +212,23 @@ def test_inline_rejection_matches_cpython_randrange(n, seed):
         expected.pop()
         expected[ref.randrange(n)] += removed
     gen = random.Random(seed)
-    assert run(new_system(n, 1.0), None, gen, cycles).values == expected
+    assert run([1.0] * n, None, gen, cycles) == expected
     assert gen.getstate() == ref.getstate()
-    assert run(new_system(n, 1.0), None, RandomStream(seed), cycles).values == expected
 
 
 # --- runs --------------------------------------------------------------------
 
 
 def test_run_zero_cycles_is_identity():
-    system = new_system(5, 2.0)
-    run(system, None, RandomStream(1), 0)
-    assert system.values == [2.0] * 5
-
-
-def test_run_rejects_negative_cycles():
-    with pytest.raises(ConfigError):
-        run(new_system(2, 1.0), None, RandomStream(1), -1)
+    assert run([2.0] * 5, None, random.Random(1), 0) == [2.0] * 5
 
 
 def test_run_fires_checkpoints_in_order_including_zero():
     seen = []
     run(
-        new_system(4, 1.0),
+        [1.0] * 4,
         None,
-        RandomStream(3),
+        random.Random(3),
         10,
         checkpoints=(0, 3, 10),
         on_checkpoint=lambda c, values: seen.append((c, values)),
@@ -253,33 +242,31 @@ def test_run_fires_checkpoints_in_order_including_zero():
 
 def test_run_snapshots_are_copies():
     snaps = []
-    system = run(
-        new_system(3, 1.0),
+    values = run(
+        [1.0] * 3,
         None,
-        RandomStream(5),
+        random.Random(5),
         4,
         checkpoints=(4,),
         on_checkpoint=lambda c, values: snaps.append(values),
     )
-    at_cycle_4 = tuple(system.values)
-    run(system, None, RandomStream(6), 1)
+    at_cycle_4 = tuple(values)
+    run(values, None, random.Random(6), 1)
     assert snaps == [at_cycle_4]
-    assert tuple(system.values) != at_cycle_4
+    assert tuple(values) != at_cycle_4
 
 
 def test_run_is_deterministic_for_a_seed():
     def go():
-        system = new_system(50, 3.0)
-        run(system, None, RandomStream(20240607), 500)
-        return system.values
+        return run([3.0] * 50, None, random.Random(20240607), 500)
 
     first, second = go(), go()
     assert first == second  # bitwise identical
 
 
 def test_different_seeds_diverge():
-    a = run(new_system(50, 3.0), None, RandomStream(1), 200).values
-    b = run(new_system(50, 3.0), None, RandomStream(2), 200).values
+    a = run([3.0] * 50, None, random.Random(1), 200)
+    b = run([3.0] * 50, None, random.Random(2), 200)
     assert a != b
 
 
@@ -291,19 +278,18 @@ def test_different_seeds_diverge():
 )
 def test_conservation_and_count_properties(ball_count, seed, fixed):
     cycles = 3 * ball_count
-    system = new_system(ball_count, 1.0)
 
     def check(cycle_no, values):
         assert len(values) == ball_count
         assert all(v > 0.0 for v in values)
 
-    run(
-        system,
+    values = run(
+        [1.0] * ball_count,
         fixed,
-        RandomStream(seed),
+        random.Random(seed),
         cycles,
         checkpoints=range(0, cycles + 1, max(1, cycles // 4)),
         on_checkpoint=check,
     )
-    assert len(system.values) == ball_count
-    assert system.relative_drift() < 1e-9
+    assert len(values) == ball_count
+    assert abs(math.fsum(values) - ball_count) / ball_count < 1e-9

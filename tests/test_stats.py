@@ -11,20 +11,10 @@ from benfordsim import (
     analyze,
     earthquake_fixture,
     log_histogram,
-    oom,
     proportions_pct,
-    qtm,
     quantile,
     ssd,
     tally_digits,
-)
-from benfordsim.stats import (
-    QTM_FAIR_MIN,
-    QTM_STRONG_MIN,
-    QTM_WEAK_MIN,
-    SSD_DEVIANT_MIN,
-    SSD_IDEAL_MAX,
-    SSD_REASONABLE_MAX,
 )
 
 EARTHQUAKE_COUNTS = (15, 8, 6, 4, 4, 0, 2, 1, 0)
@@ -116,11 +106,6 @@ def test_ssd_requires_nine_entries():
         ssd([10.0] * 8)
 
 
-def test_threshold_constants_are_ordered():
-    assert 0 < SSD_IDEAL_MAX < SSD_REASONABLE_MAX < SSD_DEVIANT_MIN
-    assert QTM_WEAK_MIN < QTM_FAIR_MIN < QTM_STRONG_MIN
-
-
 # --- quantiles ---------------------------------------------------------------
 
 
@@ -161,46 +146,46 @@ def test_quantile_monotone_in_q(values, q1, q2):
     assert quantile(values, lo) <= quantile(values, hi)
 
 
-# --- qtm / oom ---------------------------------------------------------------
+# --- qtm / oom (fields of analyze) -------------------------------------------
 
 
 def test_qtm_constant_data_is_one():
-    assert qtm([7.0] * 25) == 1.0
+    assert analyze([7.0] * 25).qtm == 1.0
 
 
 def test_qtm_known_percentiles():
     # 11 sorted values put the 10th percentile exactly at index 1 and the
     # 90th exactly at index 9.
     data = [0.001, 0.0115, 0.1, 0.2, 0.4, 0.8, 1.2, 1.9, 2.3, 2.78, 50.0]
-    assert qtm(data) == pytest.approx(2.78 / 0.0115, rel=1e-12)
-    assert qtm(data) == pytest.approx(241.7, abs=0.05)
+    assert analyze(data).qtm == pytest.approx(2.78 / 0.0115, rel=1e-12)
+    assert analyze(data).qtm == pytest.approx(241.7, abs=0.05)
 
 
 def test_qtm_one_to_ten():
-    assert qtm(list(range(1, 11))) == pytest.approx(9.1 / 1.9, rel=1e-12)
+    assert analyze(list(range(1, 11))).qtm == pytest.approx(9.1 / 1.9, rel=1e-12)
 
 
 def test_qtm_rejects_non_positive_and_empty():
     with pytest.raises(DomainError):
-        qtm([1.0, -2.0, 3.0])
+        analyze([1.0, -2.0, 3.0])
     with pytest.raises(DomainError):
-        qtm([0.0])
+        analyze([0.0])
     with pytest.raises(EmptyDataError):
-        qtm([])
+        analyze([])
 
 
 def test_oom_examples():
-    assert oom([1.0, 1000.0]) == pytest.approx(3.0)
-    assert oom([5.0, 5.0]) == 0.0
-    assert oom([0.00121, 0.5, 1.1, 3.09]) == pytest.approx(math.log10(3.09 / 0.00121))
-    assert oom([0.00121, 0.5, 1.1, 3.09]) == pytest.approx(3.41, abs=0.005)
+    assert analyze([1.0, 1000.0]).oom == pytest.approx(3.0)
+    assert analyze([5.0, 5.0]).oom == 0.0
+    assert analyze([0.00121, 0.5, 1.1, 3.09]).oom == pytest.approx(math.log10(3.09 / 0.00121))
+    assert analyze([0.00121, 0.5, 1.1, 3.09]).oom == pytest.approx(3.41, abs=0.005)
 
 
 @given(positive_lists)
 def test_qtm_at_least_one_and_dominated_by_oom(values):
-    ratio = qtm(values)
-    assert ratio >= 1.0
-    assert oom(values) >= math.log10(ratio) - 1e-12
+    report = analyze(values)
+    assert report.qtm >= 1.0
+    assert report.oom >= math.log10(report.qtm) - 1e-12
 
 
 # --- log histogram -----------------------------------------------------------
@@ -273,6 +258,19 @@ def test_analyze_errors():
         analyze([])
     with pytest.raises(DomainError):
         analyze([1.0, -1.0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_analyze_names_the_index_of_a_bad_value(bad):
+    with pytest.raises(DomainError, match=r"index 2\b"):
+        analyze([3.0, 1.0, bad, 2.0, bad])
+
+
+def test_analyze_reports_a_zero_before_an_earlier_negative():
+    # The tally rejects zero, inf and NaN on its way through; a negative value
+    # is only seen after the sort.
+    with pytest.raises(DomainError, match=r"index 3\b.*0\.0"):
+        analyze([2.0, -5.0, 1.0, 0.0])
 
 
 @given(positive_lists, st.integers(min_value=-6, max_value=6))

@@ -223,6 +223,11 @@ def test_run_zero_cycles_is_identity():
     assert run([2.0] * 5, None, random.Random(1), 0) == [2.0] * 5
 
 
+def test_run_rejects_negative_cycles():
+    with pytest.raises(ConfigError, match="cycles"):
+        run_experiment(config(2, 1.0, cycles=-1))
+
+
 def test_run_fires_checkpoints_in_order_including_zero():
     seen = []
     run(

@@ -23,29 +23,33 @@ def first_significant_digit(x: float) -> int:
     power of ten. Subnormal floats are valid inputs. Raises ``DomainError``
     for zero, infinities and NaN, which have no first significant digit.
     """
-    if x == 0.0:
-        raise DomainError("zero has no first significant digit")
-    if not math.isfinite(x):
-        raise DomainError(f"{x!r} has no first significant digit")
     m = abs(x)
-    # Lift subnormal and borderline-tiny magnitudes into the normal range so
-    # the power of ten below cannot underflow; decimal rescaling does not
-    # change the leading digit.
-    if m < 1e-300:
+    # One range test settles the common case. Zero, infinities and NaN fail
+    # it; so do subnormal and borderline-tiny magnitudes, which are lifted
+    # into the normal range so the power of ten below cannot underflow
+    # (decimal rescaling does not change the leading digit).
+    if not 1e-300 <= m <= 1.7976931348623157e308:
+        if m == 0.0:
+            raise DomainError("zero has no first significant digit")
+        if not math.isfinite(m):
+            raise DomainError(f"{x!r} has no first significant digit")
         m *= 1e300
     k = math.floor(math.log10(m))
-    mantissa = m / 10.0**k
-    # log10 rounding can land the mantissa just outside [1, 10); nudge the
-    # decade once in the right direction.
-    if mantissa < 1.0:
-        mantissa = m / 10.0 ** (k - 1)
-    elif mantissa >= 10.0:
-        mantissa = m / 10.0 ** (k + 1)
-    if 1.0 <= mantissa < 10.0:
-        return int(mantissa)
-    # Values within an ulp of a power of ten can defeat both attempts; fall
-    # back to the exact decimal expansion of the float.
-    return Decimal(m).as_tuple().digits[0]
+    p = 10.0**k
+    f = m / p
+    d = int(f)
+    r = f - d
+    # The estimate can only be wrong where f lies within rounding error of an
+    # integer, at a digit boundary. Away from one, int(f) is the digit. At one,
+    # d becomes the nearest integer: d * 10**k is exact for k in 0..15, and
+    # otherwise the exact decimal expansion of the unlifted float decides.
+    if 1e-9 < r < 1.0 - 1e-9:
+        return d
+    if r > 0.5:
+        d += 1
+    if 0 <= k <= 15 and m == d * p:
+        return d
+    return Decimal(abs(x)).as_tuple().digits[0]
 
 
 def benford_expected(d: int) -> float:

@@ -11,9 +11,9 @@ reference schemes (A: 2000 balls, 8000 uniform-split cycles; B: 1500 balls,
 from __future__ import annotations
 
 import json
-import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -60,16 +60,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if type(self.ball_count) is not int or self.ball_count < 1:
             raise ConfigError(f"ball_count must be a positive integer, got {self.ball_count!r}")
-        if not (self.initial_value > 0.0) or not math.isfinite(self.initial_value):
-            raise ConfigError(f"initial_value must be strictly positive, got {self.initial_value!r}")
+        v = self.initial_value
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v <= sys.float_info.max:
+            raise ConfigError(f"initial_value must be strictly positive, got {v!r}")
         if type(self.cycles) is not int or self.cycles < 0:
             raise ConfigError(f"cycles must be a non-negative integer, got {self.cycles!r}")
         if self.ratio is not None and not (isinstance(self.ratio, float) and 0.0 < self.ratio < 1.0):
             raise ConfigError(f"fixed split ratio must be in (0, 1), got {self.ratio!r}")
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if any(type(c) is not int for c in self.checkpoints):
-            raise ConfigError(f"checkpoints must be integers, got {self.checkpoints}")
+        if type(self.checkpoints) is not tuple or any(type(c) is not int for c in self.checkpoints):
+            raise ConfigError(f"checkpoints must be a tuple of integers, got {self.checkpoints!r}")
         for a, b in zip(self.checkpoints, self.checkpoints[1:]):
             if a >= b:
                 raise ConfigError(f"checkpoints must be strictly increasing, got {self.checkpoints}")
@@ -163,20 +164,17 @@ def scheme_preset(name: str, seed: int) -> ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[float], list[CheckpointRecord]]:
     """Run one experiment, returning the final values and one record per checkpoint."""
+    values = [config.initial_value] * config.ball_count
+    rng = random.Random(config.seed)
     records: list[CheckpointRecord] = []
-
-    def snapshot(cycle_no: int, values: Sequence[float]) -> None:
-        records.append(_record(cycle_no, values))
-
-    # Tracers wrap ``experiments.run`` and read ``cycles`` as its 4th positional argument.
-    values = run(
-        [config.initial_value] * config.ball_count,
-        config.ratio,
-        random.Random(config.seed),
-        config.cycles,
-        checkpoints=config.checkpoints,
-        on_checkpoint=snapshot,
-    )
+    done = 0
+    # Tracers wrap ``experiments.run`` and read ``cycles`` as its 4th positional
+    # argument; each record analyzes its own copy, which they count as one dataset.
+    for c in config.checkpoints:
+        run(values, config.ratio, rng, c - done)
+        done = c
+        records.append(_record(c, tuple(values)))
+    run(values, config.ratio, rng, config.cycles - done)
     return values, records
 
 
@@ -208,18 +206,7 @@ def render_table(records: Sequence[CheckpointRecord], format: str = "csv") -> st
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
     if format == "json":
-        payload = [
-            {
-                "cycle": r.cycle,
-                "digit_pct": list(r.digit_pct),
-                "ssd": r.ssd,
-                "q10": r.q10,
-                "q90": r.q90,
-                "qtm": r.qtm,
-            }
-            for r in records
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([asdict(r) for r in records], indent=2) + "\n"
     raise ConfigError(f"unknown table format {format!r}; use 'csv' or 'json'")
 
 

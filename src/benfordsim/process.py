@@ -12,7 +12,8 @@ fixed float strictly between 0 and 1.
 ``run`` is the engine behind ``experiments.run_experiment`` and trusts its
 caller: the ball count, initial value, cycle count, ratio and seed are
 checked once, by ``ExperimentConfig``, and ``run`` re-checks none of them.
-Its ``rng`` is a ``random.Random`` seeded with the run's seed.
+Its ``rng`` is a ``random.Random`` seeded with the run's seed. ``run`` only
+runs cycles; ``run_experiment`` analyzes checkpoints between calls.
 
 Draw-order contract (fixed): every cycle consumes the random stream in this
 exact order - split index over the L balls, split ratio (only when ``ratio``
@@ -34,7 +35,6 @@ their outputs for a seed.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
 
 from .errors import UnderflowError
 
@@ -46,8 +46,6 @@ def run(
     ratio: float | None,
     rng: random.Random,
     cycles: int,
-    checkpoints: Iterable[int] | None = None,
-    on_checkpoint: Callable[[int, Sequence[float]], None] | None = None,
 ) -> list[float]:
     """Apply ``cycles`` split-then-merge cycles to ``values`` in place and return it.
 
@@ -65,21 +63,17 @@ def run(
     Raises ``UnderflowError`` if a fragment rounds to exactly zero; the check
     comes before any write, so the failed cycle leaves ``values`` untouched.
 
-    ``on_checkpoint`` is called with (cycle number, immutable snapshot of the
-    values) at every cycle number listed in ``checkpoints``, including cycle 0
-    if listed. Snapshots are copies, so callbacks can never perturb the system
-    or the random stream.
+    Consecutive calls on the same list and generator equal one call with the
+    summed cycle count: ``run(v, r, rng, a)`` then ``run(v, r, rng, b)``
+    leaves ``v`` and ``rng`` exactly as ``run(v, r, rng, a + b)`` does.
     """
-    marks = frozenset(checkpoints) if checkpoints is not None and on_checkpoint else frozenset()
     bits = rng.getrandbits
     uniform = rng.random
     n = len(values)
     n1 = n + 1
     k = n.bit_length()
     k1 = n1.bit_length()
-    if 0 in marks:
-        on_checkpoint(0, tuple(values))
-    for c in range(1, cycles + 1):
+    for _ in range(cycles):
         i = bits(k)
         while i >= n:
             i = bits(k)
@@ -106,6 +100,4 @@ def run(
         while m >= n:
             m = bits(k)
         values[m] += removed
-        if c in marks:
-            on_checkpoint(c, tuple(values))
     return values

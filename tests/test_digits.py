@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +39,12 @@ def string_oracle(x: float) -> int:
         (0.0367, 3),
         (9.999, 9),
         (1024.0, 1),
+        # Within rounding of a digit boundary where 10.0**k is inexact
+        # (|k| > 22) or the subnormal lift rounds.
+        (4.9999999999999997e-287, 4),
+        (9.999999999999999e-307, 9),
+        (1e-305, 9),
+        (1e-308, 9),
     ],
 )
 def test_known_digits(x, expected):
@@ -61,6 +68,28 @@ def test_subnormals_are_accepted():
 def test_extremes_of_the_double_range():
     assert first_significant_digit(1.7976931348623157e308) == 1
     assert first_significant_digit(2.2250738585072014e-308) == 2
+
+
+def test_exact_on_every_digit_boundary_neighbour():
+    # Every double within 8 ulps of d * 10**k over the whole double range.
+    cases = set()
+    for k in range(-324, 309):
+        for d in range(1, 10):
+            centre = float(f"{d}e{k}")
+            if centre == 0.0 or math.isinf(centre):
+                continue
+            below = above = centre
+            cases.add(centre)
+            for _ in range(8):
+                below = math.nextafter(below, 0.0)
+                above = math.nextafter(above, math.inf)
+                cases.update((below, above))
+    cases.discard(0.0)
+    cases.discard(math.inf)
+    assert len(cases) > 90_000
+    # The oracle is the leading digit of each double's exact decimal expansion.
+    wrong = [x for x in cases if first_significant_digit(x) != Decimal(x).as_tuple().digits[0]]
+    assert wrong == []
 
 
 def test_oracle_agreement_on_log_uniform_sample():

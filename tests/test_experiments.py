@@ -93,15 +93,31 @@ def test_config_rejects_seeds_outside_64_bits(seed):
         ("seed", True),
         ("checkpoints", (2.5, 10)),
         ("checkpoints", (True, 10)),
+        ("initial_value", "1.0"),
+        ("initial_value", None),
+        ("initial_value", True),
+        ("initial_value", 10**400),
+        ("checkpoints", 10),
+        ("checkpoints", [10]),
     ],
-    ids=["ball_count-bool", "cycles-bool", "seed-bool", "checkpoint-2.5", "checkpoint-bool"],
+    ids=[
+        "ball_count-bool", "cycles-bool", "seed-bool", "checkpoint-2.5", "checkpoint-bool",
+        "value-str", "value-none", "value-bool", "value-huge-int", "checkpoints-int",
+        "checkpoints-list",
+    ],
 )
 def test_config_rejects_bools_and_non_int_checkpoints(field, value):
-    # A 2.5 checkpoint was accepted and its row silently never recorded.
+    # A 2.5 checkpoint was accepted and its row silently never recorded; a
+    # string, None or huge-int initial_value and a bare-int checkpoints raised
+    # a bare TypeError or OverflowError, and a list of checkpoints was let through.
     params = dict(ball_count=5, initial_value=1.0, cycles=10, ratio=None, seed=1, checkpoints=(10,))
     params[field] = value
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**params)
+
+
+def test_config_accepts_an_int_initial_value():
+    assert ExperimentConfig(5, 2, 10, None, seed=1, checkpoints=(10,)).initial_value == 2
 
 
 def test_config_accepts_the_seed_range_ends():
@@ -138,19 +154,16 @@ def test_records_match_independent_recomputation():
     config = small_config()
     _, records = run_experiment(config)
 
-    snapshots = {}
-    run(
-        [config.initial_value] * config.ball_count,
-        config.ratio,
-        random.Random(config.seed),
-        config.cycles,
-        checkpoints=config.checkpoints,
-        on_checkpoint=lambda c, values: snapshots.__setitem__(c, values),
-    )
-
     assert [r.cycle for r in records] == list(config.checkpoints)
     for record in records:
-        report = analyze(snapshots[record.cycle])
+        # A fresh run of exactly record.cycle cycles from the same seed.
+        snapshot = run(
+            [config.initial_value] * config.ball_count,
+            config.ratio,
+            random.Random(config.seed),
+            record.cycle,
+        )
+        report = analyze(snapshot)
         assert record.digit_pct == report.proportions_pct
         assert record.ssd == report.ssd
         assert record.q10 == report.q10
@@ -182,6 +195,31 @@ def test_preset_final_values_match_golden_digest(preset):
     values, _ = run_experiment(scheme_preset(preset, 1))
     text = "".join(f"{v!r}\n" for v in values)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FINAL_DIGESTS[preset]
+
+
+# The staged presets at seed 1, as sha256 over the final values (one repr per
+# line) followed by the JSON table: they pin where each checkpoint falls in the
+# stream as well as the end state.
+GOLDEN_STAGED_DIGESTS = {
+    "Gradual_A": "b674395b7590bf374c01fd86db17d5d9e07a0ea38451a0a1cd17c613e124b5c1",
+    "Small_100": "b3f47727b2a79861bc2b66fbddd3655103e6923433795f8d92640d18768fda70",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_STAGED_DIGESTS))
+def test_staged_preset_values_and_table_match_golden_digest(preset):
+    values, records = run_experiment(scheme_preset(preset, 1))
+    text = "".join(f"{v!r}\n" for v in values) + render_table(records, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_STAGED_DIGESTS[preset]
+
+
+def test_checkpoints_do_not_change_the_final_values():
+    cycles = 40
+    finals = [
+        run_experiment(small_config(cycles=cycles, checkpoints=layout))[0]
+        for layout in [(), (0,), (0, 5, 17, cycles), (cycles,)]
+    ]
+    assert all(final == finals[0] for final in finals)
 
 
 def test_final_values_are_analyzable():

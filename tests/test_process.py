@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from benfordsim import ConfigError, ExperimentConfig, UnderflowError, run_experiment
+from benfordsim import (
+    CheckpointRecord,
+    ConfigError,
+    ExperimentConfig,
+    UnderflowError,
+    analyze,
+    run_experiment,
+)
 from benfordsim.process import run
 
 
@@ -35,6 +42,12 @@ def one_cycle(values, ratio, bits, ratios=()):
 
 def config(ball_count=2, initial_value=1.0, cycles=0, ratio=None):
     return ExperimentConfig(ball_count, initial_value, cycles, ratio, seed=1, checkpoints=())
+
+
+def record_of(cycle, values):
+    """The record run_experiment should make of ``values`` at ``cycle``."""
+    report = analyze(values)
+    return CheckpointRecord(cycle, report.proportions_pct, report.ssd, report.q10, report.q90, report.qtm)
 
 
 # --- the starting system -----------------------------------------------------
@@ -149,11 +162,11 @@ def test_consolidate_picks_distinct_balls():
 
 
 def test_cycle_restores_count_and_total():
-    def check(cycle_no, values):
+    values, rng = [35.0] * 7, random.Random(99)
+    for _ in range(500):
+        run(values, None, rng, 1)
         assert len(values) == 7
         assert abs(math.fsum(values) - 245.0) / 245.0 < 1e-9
-
-    run([35.0] * 7, None, random.Random(99), 500, checkpoints=range(501), on_checkpoint=check)
 
 
 def test_single_ball_system_is_stationary():
@@ -229,36 +242,35 @@ def test_run_rejects_negative_cycles():
 
 
 def test_run_fires_checkpoints_in_order_including_zero():
-    seen = []
-    run(
-        [1.0] * 4,
-        None,
-        random.Random(3),
-        10,
-        checkpoints=(0, 3, 10),
-        on_checkpoint=lambda c, values: seen.append((c, values)),
-    )
-    assert [c for c, _ in seen] == [0, 3, 10]
-    for _, values in seen:
-        assert isinstance(values, tuple)
-        assert len(values) == 4
-    assert seen[0][1] == (1.0, 1.0, 1.0, 1.0)
+    config = ExperimentConfig(4, 1.0, 10, None, seed=3, checkpoints=(0, 3, 10))
+    values, records = run_experiment(config)
+    assert [r.cycle for r in records] == [0, 3, 10]
+    assert len(values) == 4
+    # Cycle 0 is the untouched system of four 1.0 balls.
+    assert records[0] == record_of(0, [1.0] * 4)
 
 
 def test_run_snapshots_are_copies():
-    snaps = []
-    values = run(
-        [1.0] * 3,
-        None,
-        random.Random(5),
-        4,
-        checkpoints=(4,),
-        on_checkpoint=lambda c, values: snaps.append(values),
-    )
-    at_cycle_4 = tuple(values)
-    run(values, None, random.Random(6), 1)
-    assert snaps == [at_cycle_4]
-    assert tuple(values) != at_cycle_4
+    # The record at cycle 4 is the analysis of the system after 4 cycles,
+    # whatever the 5 later cycles do to the values.
+    at_cycle_4 = run([1.0] * 3, None, random.Random(5), 4)
+    values, records = run_experiment(ExperimentConfig(3, 1.0, 9, None, seed=5, checkpoints=(4,)))
+    assert records == [record_of(4, at_cycle_4)]
+    assert values != at_cycle_4
+
+
+@pytest.mark.parametrize("ratio", [None, 0.3])
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 9), (9, 0), (1, 1), (4, 13), (60, 45)])
+def test_consecutive_runs_equal_one_run(a, b, ratio):
+    # run_experiment analyzes checkpoints between segments; that is exact only
+    # if segments leave the values and the generator as one run does.
+    values, rng = [2.0] * 17, random.Random(8)
+    run(values, ratio, rng, a)
+    run(values, ratio, rng, b)
+    whole, whole_rng = [2.0] * 17, random.Random(8)
+    run(whole, ratio, whole_rng, a + b)
+    assert values == whole
+    assert rng.getstate() == whole_rng.getstate()
 
 
 def test_run_is_deterministic_for_a_seed():
@@ -283,18 +295,12 @@ def test_different_seeds_diverge():
 )
 def test_conservation_and_count_properties(ball_count, seed, fixed):
     cycles = 3 * ball_count
-
-    def check(cycle_no, values):
+    values, rng, done = [1.0] * ball_count, random.Random(seed), 0
+    for c in range(0, cycles + 1, max(1, cycles // 4)):
+        run(values, fixed, rng, c - done)
+        done = c
         assert len(values) == ball_count
         assert all(v > 0.0 for v in values)
-
-    values = run(
-        [1.0] * ball_count,
-        fixed,
-        random.Random(seed),
-        cycles,
-        checkpoints=range(0, cycles + 1, max(1, cycles // 4)),
-        on_checkpoint=check,
-    )
+    run(values, fixed, rng, cycles - done)
     assert len(values) == ball_count
     assert abs(math.fsum(values) - ball_count) / ball_count < 1e-9

@@ -7,7 +7,7 @@ digit-conformance tooling (tallies, SSD, quantile ratios, log histograms)
 for any positive dataset.
 """
 
-from .digits import benford_distribution, benford_expected, first_significant_digit
+from .digits import benford_expected, first_significant_digit
 from .errors import (
     BenfordSimError,
     ConfigError,
@@ -19,7 +19,6 @@ from .experiments import (
     CheckpointRecord,
     ExperimentConfig,
     earthquake_fixture,
-    load_config,
     parse_config,
     render_table,
     run_experiment,
@@ -28,14 +27,10 @@ from .experiments import (
 from .stats import (
     BENFORD_PCT,
     BenfordReport,
-    DigitTally,
     LogHistogram,
     analyze,
     log_histogram,
-    proportions_pct,
-    quantile,
     ssd,
-    tally_digits,
 )
 
 __version__ = "0.1.0"
@@ -46,25 +41,19 @@ __all__ = [
     "BenfordSimError",
     "CheckpointRecord",
     "ConfigError",
-    "DigitTally",
     "DomainError",
     "EmptyDataError",
     "ExperimentConfig",
     "LogHistogram",
     "UnderflowError",
     "analyze",
-    "benford_distribution",
     "benford_expected",
     "earthquake_fixture",
     "first_significant_digit",
-    "load_config",
     "log_histogram",
     "parse_config",
-    "proportions_pct",
-    "quantile",
     "render_table",
     "run_experiment",
     "scheme_preset",
     "ssd",
-    "tally_digits",
 ]

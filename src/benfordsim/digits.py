@@ -4,16 +4,56 @@ The first significant digit of a number is the leftmost nonzero digit of its
 decimal magnitude: 613 -> 6, 0.0002867 -> 2, -62.97 -> 6. Benford's Law says
 that over many real-world datasets digit d leads with probability
 log10(1 + 1/d), so 1 leads about 30.1% of the time and 9 only 4.6%.
+
+Digits are looked up, not estimated: a positive number at or above d * 10**k
+and below the next such boundary has digit d. The boundaries of the double
+range form one sorted table, built exactly on first use, so every digit is
+exact by construction.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+import sys
+from bisect import bisect_right
+from functools import cache
 
 from .errors import DomainError
 
-__all__ = ["first_significant_digit", "benford_expected", "benford_distribution"]
+__all__ = ["first_significant_digit", "benford_expected"]
+
+_LARGEST = sys.float_info.max
+
+
+@cache
+def boundary_table() -> tuple[tuple[float | int, ...], tuple[int, ...]]:
+    """The digit boundaries d * 10**k of the double range, ascending, and their digits d.
+
+    For k >= 0 an entry is d * 10**k itself: a float where one equals it (the
+    cheaper compare), else the int, which Python compares exactly with floats. For k < 0 it is the
+    smallest double above d * 10**k. Either way a float or int x is at or above
+    the entry exactly when x >= d * 10**k. Subnormal boundaries can share one
+    double; ``bisect_right`` then lands after the last, largest d. Built on the
+    first lookup (a few ms), never at import.
+    """
+    bounds: list[float | int] = []
+    digits: list[int] = []
+    for k in range(-324, 309):
+        for d in range(1, 10):
+            if k >= 0:
+                b = d * 10**k
+                if b > _LARGEST:
+                    break
+                if float(b) == b:
+                    b = float(b)
+            else:
+                b = float(f"{d}e{k}")  # the nearest double, which may lie below
+                num, den = b.as_integer_ratio()
+                if num * 10**-k < d * den:
+                    b = math.nextafter(b, math.inf)
+            bounds.append(b)
+            digits.append(d)
+    return tuple(bounds), tuple(digits)
 
 
 def first_significant_digit(x: float) -> int:
@@ -21,35 +61,17 @@ def first_significant_digit(x: float) -> int:
 
     The sign is discarded and the result is invariant under scaling by any
     power of ten. Subnormal floats are valid inputs. Raises ``DomainError``
-    for zero, infinities and NaN, which have no first significant digit.
+    for zero, infinities, NaN and any magnitude beyond the largest double.
     """
     m = abs(x)
-    # One range test settles the common case. Zero, infinities and NaN fail
-    # it; so do subnormal and borderline-tiny magnitudes, which are lifted
-    # into the normal range so the power of ten below cannot underflow
-    # (decimal rescaling does not change the leading digit).
-    if not 1e-300 <= m <= 1.7976931348623157e308:
+    if not 0.0 < m <= _LARGEST:
         if m == 0.0:
             raise DomainError("zero has no first significant digit")
-        if not math.isfinite(m):
+        if m == math.inf or m != m:
             raise DomainError(f"{x!r} has no first significant digit")
-        m *= 1e300
-    k = math.floor(math.log10(m))
-    p = 10.0**k
-    f = m / p
-    d = int(f)
-    r = f - d
-    # The estimate can only be wrong where f lies within rounding error of an
-    # integer, at a digit boundary. Away from one, int(f) is the digit. At one,
-    # d becomes the nearest integer: d * 10**k is exact for k in 0..15, and
-    # otherwise the exact decimal expansion of the unlifted float decides.
-    if 1e-9 < r < 1.0 - 1e-9:
-        return d
-    if r > 0.5:
-        d += 1
-    if 0 <= k <= 15 and m == d * p:
-        return d
-    return Decimal(abs(x)).as_tuple().digits[0]
+        raise DomainError("magnitudes beyond the largest double have no first significant digit")
+    bounds, digits = boundary_table()
+    return digits[bisect_right(bounds, m) - 1]
 
 
 def benford_expected(d: int) -> float:
@@ -57,8 +79,3 @@ def benford_expected(d: int) -> float:
     if not 1 <= d <= 9:
         raise DomainError(f"first significant digits are 1..9, got {d!r}")
     return math.log10(1.0 + 1.0 / d)
-
-
-def benford_distribution() -> tuple[float, ...]:
-    """The full Benford vector, entry ``i`` holding the probability of digit ``i + 1``."""
-    return tuple(benford_expected(d) for d in range(1, 10))

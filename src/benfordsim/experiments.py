@@ -15,7 +15,6 @@ import random
 import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import stats
@@ -31,7 +30,6 @@ __all__ = [
     "run_experiment",
     "earthquake_fixture",
     "render_table",
-    "load_config",
     "parse_config",
 ]
 
@@ -287,11 +285,6 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
         seed=seed,
         checkpoints=checkpoints,
     )
-
-
-def load_config(path: str | Path, *, seed: int | None = None) -> ExperimentConfig:
-    """Read an experiment config file; ``seed`` overrides any seed in the file."""
-    return parse_config(Path(path).read_text(), seed=seed, source=str(path))
 
 
 def _parse_int(entries: Mapping[str, str], key: str, source: str) -> int:

@@ -1,45 +1,36 @@
 """Digit tallies and conformance measures for positive datasets.
 
-Provides the building blocks for judging how Benford-like a dataset is:
-first-digit tallies and proportions, the sum of squared deviations from the
-Benford percentages (SSD), quantiles with linear interpolation, and base-10
-log histograms. ``analyze`` combines them in one pass per dataset, adding
-the 90th/10th percentile ratio (QTM) and the classical log10(max/min) order
-of magnitude (OOM).
+Provides the building blocks for judging how Benford-like a dataset is: the
+sum of squared deviations of first-digit percentages from the Benford
+percentages (SSD), quantiles with linear interpolation, and base-10 log
+histograms. ``analyze`` combines them around one sort per dataset: the sorted
+values give the 90th/10th percentile ratio (QTM), the classical log10(max/min)
+order of magnitude (OOM) and, by bisecting each digit boundary of the
+``digits`` table into them, the first-digit counts.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .digits import benford_expected, first_significant_digit
+from .digits import benford_expected, boundary_table, first_significant_digit
 from .errors import DomainError, EmptyDataError
 
 __all__ = [
     "BENFORD_PCT",
-    "DigitTally",
     "BenfordReport",
     "LogHistogram",
-    "tally_digits",
-    "proportions_pct",
     "ssd",
-    "quantile",
     "log_histogram",
     "analyze",
 ]
 
 #: Benford expectation in percent, full precision, index i holds digit i + 1.
 BENFORD_PCT: tuple[float, ...] = tuple(100.0 * benford_expected(d) for d in range(1, 10))
-
-
-@dataclass(frozen=True)
-class DigitTally:
-    """First-digit counts over a dataset; ``counts[i]`` is the count of digit ``i + 1``."""
-
-    counts: tuple[int, ...]
-    total: int
 
 
 @dataclass(frozen=True)
@@ -62,40 +53,32 @@ class LogHistogram:
 
     A value x lands in bin floor((log10(x) - origin) / bin_width). ``bins``
     lists (bin index, count) pairs for occupied bins, in index order.
-    ``core_log_span`` is log10(q90) - log10(q10), the width of the central
-    80% of the data on the log axis (None for an empty dataset).
     """
 
     bin_width: float
     origin: float
     bins: tuple[tuple[int, int], ...]
-    core_log_span: float | None
 
 
-def tally_digits(values: Iterable[float]) -> DigitTally:
-    """Count first significant digits over ``values``.
+def tally_digits(xs: Sequence[float]) -> tuple[int, ...]:
+    """Counts of the first digits 1..9 over non-empty, ascending, positive ``xs``.
 
-    Every entry must be finite and nonzero; a bad entry raises ``DomainError``
-    naming its index so dirty datasets get cleaned explicitly rather than
-    silently shrunk.
+    No value may exceed the largest double. Values from one digit boundary up
+    to the next share its digit, so each boundary inside [min, max] is
+    bisected into ``xs`` once (about nine per decade of span) and no value is
+    looked up on its own.
     """
+    bounds, digits = boundary_table()
     counts = [0] * 9
-    total = 0
-    for i, x in enumerate(values):
-        try:
-            d = first_significant_digit(x)
-        except DomainError as exc:
-            raise DomainError(f"value at index {i} has no first significant digit: {x!r}") from exc
-        counts[d - 1] += 1
-        total += 1
-    return DigitTally(tuple(counts), total)
-
-
-def proportions_pct(tally: DigitTally) -> tuple[float, ...]:
-    """Digit proportions of a tally, in percent."""
-    if tally.total == 0:
-        raise EmptyDataError("cannot take digit proportions of an empty tally")
-    return tuple(100.0 * c / tally.total for c in tally.counts)
+    first = bisect_right(bounds, xs[0])
+    last = bisect_right(bounds, xs[-1])
+    start = 0
+    for j in range(first, last):
+        end = bisect_left(xs, bounds[j], start)
+        counts[digits[j - 1] - 1] += end - start
+        start = end
+    counts[digits[last - 1] - 1] += len(xs) - start
+    return tuple(counts)
 
 
 def ssd(observed_pct: Sequence[float]) -> float:
@@ -110,21 +93,12 @@ def ssd(observed_pct: Sequence[float]) -> float:
     return sum((obs - exp) ** 2 for obs, exp in zip(observed_pct, BENFORD_PCT))
 
 
-def quantile(values: Sequence[float], q: float) -> float:
-    """Quantile by linear interpolation between closest ranks.
-
-    With the data sorted ascending as x_1..x_n and h = (n - 1) * q + 1, the
-    result interpolates between x_floor(h) and the next value. q=0 gives the
-    minimum and q=1 the maximum.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"quantile level must be in [0, 1], got {q!r}")
-    if len(values) == 0:
-        raise EmptyDataError("cannot take a quantile of an empty dataset")
-    return _quantile_sorted(sorted(values), q)
-
-
 def _quantile_sorted(xs: Sequence[float], q: float) -> float:
+    """Quantile of ascending ``xs`` by linear interpolation between closest ranks.
+
+    With h = (n - 1) * q the result interpolates between xs[floor(h)] and the
+    next value; q=0 gives the minimum and q=1 the maximum.
+    """
     h = (len(xs) - 1) * q
     lo = math.floor(h)
     if lo + 1 >= len(xs):
@@ -140,15 +114,22 @@ def log_histogram(
         raise DomainError(f"bin width must be positive and finite, got {bin_width!r}")
     counts: dict[int, int] = {}
     for i, x in enumerate(values):
-        if not (x > 0.0) or not math.isfinite(x):
+        if not 0.0 < x <= sys.float_info.max:
             raise DomainError(f"value at index {i} is not strictly positive: {x!r}")
         b = math.floor((math.log10(x) - origin) / bin_width)
         counts[b] = counts.get(b, 0) + 1
-    span = None
-    if values:
-        xs = sorted(values)
-        span = math.log10(_quantile_sorted(xs, 0.9)) - math.log10(_quantile_sorted(xs, 0.1))
-    return LogHistogram(bin_width, origin, tuple(sorted(counts.items())), span)
+    return LogHistogram(bin_width, origin, tuple(sorted(counts.items())))
+
+
+def _first_bad_value(values: Sequence[float]) -> DomainError:
+    """The error for the first zero, inf, NaN or out-of-range value, else the first negative."""
+    for i, x in enumerate(values):
+        try:
+            first_significant_digit(x)
+        except DomainError:
+            return DomainError(f"value at index {i} has no first significant digit: {x!r}")
+    i = next(i for i, x in enumerate(values) if x < 0.0)
+    return DomainError(f"value at index {i} is not strictly positive: {values[i]!r}")
 
 
 def analyze(values: Sequence[float]) -> BenfordReport:
@@ -156,16 +137,23 @@ def analyze(values: Sequence[float]) -> BenfordReport:
 
     ``qtm`` is q90 / q10 (exactly 1 for constant data); ``oom`` is
     log10(max / min). A bad value raises ``DomainError`` naming its index:
-    the first zero, inf or NaN (found by the tally), else the first negative.
+    the first zero, inf, NaN or magnitude beyond the largest double, else
+    the first negative.
     """
     if len(values) == 0:
         raise EmptyDataError("dataset is empty")
-    tally = tally_digits(values)
-    props = proportions_pct(tally)
     xs = sorted(values)
-    if xs[0] <= 0.0:
-        i = next(i for i, x in enumerate(values) if x <= 0.0)
-        raise DomainError(f"value at index {i} is not strictly positive: {values[i]!r}")
+    # A NaN can sort anywhere, so the ends alone do not prove the data good;
+    # a sum is NaN only if a value is, and fails only on an int beyond a double.
+    try:
+        total = sum(xs)
+    except OverflowError:
+        total = math.nan
+    if not (0.0 < xs[0] and xs[-1] <= sys.float_info.max and total == total):
+        raise _first_bad_value(values)
+    counts = tally_digits(xs)
+    n = len(xs)
+    props = tuple(100.0 * c / n for c in counts)
     q10 = _quantile_sorted(xs, 0.1)
     q90 = _quantile_sorted(xs, 0.9)
     return BenfordReport(
@@ -175,6 +163,6 @@ def analyze(values: Sequence[float]) -> BenfordReport:
         q90=q90,
         qtm=q90 / q10,
         oom=math.log10(xs[-1] / xs[0]),
-        n=len(xs),
-        counts=tally.counts,
+        n=n,
+        counts=counts,
     )

@@ -12,20 +12,18 @@ import statistics
 import pytest
 
 from benfordsim import (
+    analyze,
     earthquake_fixture,
     first_significant_digit,
-    proportions_pct,
     render_table,
     run_experiment,
     scheme_preset,
     ssd,
-    tally_digits,
 )
 from benfordsim.cli import main as cli_main
 from benfordsim.digits import benford_expected
 from benfordsim.experiments import ExperimentConfig
 from benfordsim.process import run
-from benfordsim.stats import log_histogram
 
 SEEDS = tuple(range(1, 11))
 
@@ -94,19 +92,18 @@ def test_criterion_02_known_ssd_vector():
 
 def test_criterion_03_earthquake_sample():
     data = earthquake_fixture()
-    tally = tally_digits(data)
-    props = proportions_pct(tally)
+    report = analyze(data)
     expected_props = (37.5, 20.0, 15.0, 10.0, 10.0, 0.0, 5.0, 2.5, 0.0)
     ok = (
         len(data) == 40
-        and tally.counts == (15, 8, 6, 4, 4, 0, 2, 1, 0)
-        and all(abs(p - e) < 1e-9 for p, e in zip(props, expected_props))
+        and report.counts == (15, 8, 6, 4, 4, 0, 2, 1, 0)
+        and all(abs(p - e) < 1e-9 for p, e in zip(report.proportions_pct, expected_props))
     )
     criterion(
         3,
         "bundled 40-value sample tallies to {15,8,6,4,4,0,2,1,0} with the exact proportions",
         ok,
-        f"counts={tally.counts}",
+        f"counts={report.counts}",
     )
 
 
@@ -291,9 +288,8 @@ def test_criterion_13_small_system_partial_convergence(small_100_runs):
 
 
 def test_criterion_14_log_span(scheme_a_runs):
-    spans = [
-        log_histogram(values, bin_width=0.25).core_log_span for values, _ in scheme_a_runs
-    ]
+    reports = [analyze(values) for values, _ in scheme_a_runs]
+    spans = [math.log10(r.q90) - math.log10(r.q10) for r in reports]
     ok = median(spans) > 3.0
     criterion(
         14,

@@ -1,13 +1,17 @@
 import math
 import random
+import subprocess
+import sys
+from collections import Counter
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
 from benfordsim import (
+    BENFORD_PCT,
     DomainError,
-    benford_distribution,
+    analyze,
     benford_expected,
     first_significant_digit,
 )
@@ -39,19 +43,36 @@ def string_oracle(x: float) -> int:
         (0.0367, 3),
         (9.999, 9),
         (1024.0, 1),
-        # Within rounding of a digit boundary where 10.0**k is inexact
-        # (|k| > 22) or the subnormal lift rounds.
+        # Within rounding of a digit boundary.
         (4.9999999999999997e-287, 4),
         (9.999999999999999e-307, 9),
         (1e-305, 9),
         (1e-308, 9),
+        # No double equals 9 * 10**22: the literal 9e22 parses just below it,
+        # while the int itself keeps its digit.
+        (9e22, 8),
+        (9 * 10**22, 9),
+        (10**308, 1),
     ],
 )
 def test_known_digits(x, expected):
     assert first_significant_digit(x) == expected
 
 
-@pytest.mark.parametrize("x", [0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "x",
+    [
+        0,
+        0.0,
+        -0.0,
+        math.inf,
+        -math.inf,
+        math.nan,
+        # Ints beyond the largest double.
+        pytest.param(9 * 10**400, id="9*10**400"),
+        pytest.param(-(10**400), id="-10**400"),
+    ],
+)
 def test_invalid_inputs_raise(x):
     with pytest.raises(DomainError):
         first_significant_digit(x)
@@ -70,8 +91,8 @@ def test_extremes_of_the_double_range():
     assert first_significant_digit(2.2250738585072014e-308) == 2
 
 
-def test_exact_on_every_digit_boundary_neighbour():
-    # Every double within 8 ulps of d * 10**k over the whole double range.
+def boundary_neighbours():
+    """Every double within 8 ulps of d * 10**k over the whole double range."""
     cases = set()
     for k in range(-324, 309):
         for d in range(1, 10):
@@ -87,9 +108,34 @@ def test_exact_on_every_digit_boundary_neighbour():
     cases.discard(0.0)
     cases.discard(math.inf)
     assert len(cases) > 90_000
-    # The oracle is the leading digit of each double's exact decimal expansion.
-    wrong = [x for x in cases if first_significant_digit(x) != Decimal(x).as_tuple().digits[0]]
+    return sorted(cases)
+
+
+def decimal_digit(x):
+    """The leading digit of the exact decimal expansion of a positive double."""
+    return Decimal(x).as_tuple().digits[0]
+
+
+def test_exact_on_every_digit_boundary_neighbour():
+    wrong = [x for x in boundary_neighbours() if first_significant_digit(x) != decimal_digit(x)]
     assert wrong == []
+
+
+def test_analyze_counts_every_digit_boundary_neighbour_exactly():
+    values = boundary_neighbours()
+    expected = Counter(decimal_digit(x) for x in values)
+    random.Random(5).shuffle(values)
+    assert analyze(values).counts == tuple(expected[d] for d in range(1, 10))
+
+
+def test_import_builds_no_table_and_loads_no_decimal():
+    # The table costs milliseconds, so it waits for the first digit lookup.
+    code = (
+        "import sys, benfordsim; from benfordsim import digits; "
+        "print('decimal' in sys.modules, digits.boundary_table.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "0"]
 
 
 def test_oracle_agreement_on_log_uniform_sample():
@@ -134,16 +180,14 @@ def test_benford_expected_rejects_non_digits(d):
 
 
 def test_benford_distribution_matches_rounded_table():
-    dist = benford_distribution()
-    assert len(dist) == 9
-    for p, rounded in zip(dist, ROUNDED_PCT):
-        assert abs(100.0 * p - rounded) < 0.05
+    assert len(BENFORD_PCT) == 9
+    for pct, rounded in zip(BENFORD_PCT, ROUNDED_PCT):
+        assert abs(pct - rounded) < 0.05
 
 
 def test_benford_distribution_sums_to_one():
-    assert math.fsum(benford_distribution()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(BENFORD_PCT) == pytest.approx(100.0, abs=1e-10)
 
 
 def test_benford_distribution_strictly_decreasing():
-    dist = benford_distribution()
-    assert all(a > b for a, b in zip(dist, dist[1:]))
+    assert all(a > b for a, b in zip(BENFORD_PCT, BENFORD_PCT[1:]))

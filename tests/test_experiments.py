@@ -15,9 +15,8 @@ from benfordsim import (
     render_table,
     run_experiment,
     scheme_preset,
-    tally_digits,
 )
-from benfordsim.experiments import CSV_HEADER, PRESET_NAMES, load_config
+from benfordsim.experiments import CSV_HEADER, PRESET_NAMES
 from benfordsim.process import run
 
 FIXTURE_SHA256 = "9b1cc669e5c013245c1b41d891499549c931b78fcffe966ad1edfa7dc17a1316"
@@ -240,7 +239,7 @@ def test_fixture_shape_and_first_value():
 
 
 def test_fixture_digit_counts():
-    assert tally_digits(earthquake_fixture()).counts == (15, 8, 6, 4, 4, 0, 2, 1, 0)
+    assert analyze(earthquake_fixture()).counts == (15, 8, 6, 4, 4, 0, 2, 1, 0)
 
 
 def test_fixture_file_checksum():
@@ -407,9 +406,3 @@ def test_parse_config_rejects_duplicates_and_bad_lines():
 def test_parse_config_requires_core_keys():
     with pytest.raises(ConfigError, match="ball_count"):
         parse_config("cycles = 10\ninitial_value = 1\npolicy = uniform\nseed = 1")
-
-
-def test_load_config_from_disk(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(GOOD_CONFIG)
-    assert load_config(path) == parse_config(GOOD_CONFIG)

@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,12 +12,11 @@ from benfordsim import (
     EmptyDataError,
     analyze,
     earthquake_fixture,
+    first_significant_digit,
     log_histogram,
-    proportions_pct,
-    quantile,
     ssd,
-    tally_digits,
 )
+from benfordsim.stats import _quantile_sorted
 
 EARTHQUAKE_COUNTS = (15, 8, 6, 4, 4, 0, 2, 1, 0)
 EARTHQUAKE_PCT = (37.5, 20.0, 15.0, 10.0, 10.0, 0.0, 5.0, 2.5, 0.0)
@@ -24,58 +25,52 @@ positive_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 positive_lists = st.lists(positive_floats, min_size=1, max_size=50)
 
 
-# --- tallies -----------------------------------------------------------------
+# --- tallies (fields of analyze) --------------------------------------------
 
 
 def test_tally_earthquake_sample():
-    tally = tally_digits(earthquake_fixture())
-    assert tally.counts == EARTHQUAKE_COUNTS
-    assert tally.total == 40
+    report = analyze(earthquake_fixture())
+    assert report.counts == EARTHQUAKE_COUNTS
+    assert report.n == 40
 
 
 def test_tally_all_ones():
-    tally = tally_digits([1, 1, 1])
-    assert tally.counts == (3, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert analyze([1, 1, 1]).counts == (3, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_tally_empty():
-    tally = tally_digits([])
-    assert tally.counts == (0,) * 9
-    assert tally.total == 0
+    with pytest.raises(EmptyDataError):
+        analyze([])
 
 
 def test_tally_rejects_zero_and_names_the_index():
     with pytest.raises(DomainError, match="index 1"):
-        tally_digits([1.0, 0.0, 2.0])
+        analyze([1.0, 0.0, 2.0])
     with pytest.raises(DomainError, match="index 2"):
-        tally_digits([1.0, 2.0, math.inf])
+        analyze([1.0, 2.0, math.inf])
 
 
-def test_tally_accepts_negative_values():
-    assert tally_digits([-62.97, -1.0]).counts == (1, 0, 0, 0, 0, 1, 0, 0, 0)
+@given(st.lists(st.floats(min_value=5e-324, max_value=sys.float_info.max), min_size=1))
+def test_tally_matches_the_digit_of_every_value(values):
+    digits = Counter(map(first_significant_digit, values))
+    assert analyze(values).counts == tuple(digits[d] for d in range(1, 10))
 
 
-# --- proportions -------------------------------------------------------------
+# --- proportions (fields of analyze) -----------------------------------------
 
 
 def test_proportions_earthquake_sample():
-    props = proportions_pct(tally_digits(earthquake_fixture()))
+    props = analyze(earthquake_fixture()).proportions_pct
     assert props == pytest.approx(EARTHQUAKE_PCT, abs=1e-12)
 
 
 def test_proportions_single_digit():
-    props = proportions_pct(tally_digits([1, 1, 1]))
-    assert props == (100.0,) + (0.0,) * 8
+    assert analyze([1, 1, 1]).proportions_pct == (100.0,) + (0.0,) * 8
 
 
 def test_proportions_uniform():
-    props = proportions_pct(tally_digits(list(range(1, 10))))
+    props = analyze(list(range(1, 10))).proportions_pct
     assert props == pytest.approx((100.0 / 9,) * 9)
-
-
-def test_proportions_empty_tally_is_an_error():
-    with pytest.raises(EmptyDataError):
-        proportions_pct(tally_digits([]))
 
 
 # --- ssd ---------------------------------------------------------------------
@@ -109,6 +104,10 @@ def test_ssd_requires_nine_entries():
 # --- quantiles ---------------------------------------------------------------
 
 
+def quantile(values, q):
+    return _quantile_sorted(sorted(values), q)
+
+
 def test_quantile_interpolation_one_to_ten():
     data = list(range(1, 11))
     # h = (n - 1) q + 1 by hand: q=0.5 -> 5.5, q=0.1 -> 1.9, q=0.9 -> 9.1
@@ -124,20 +123,13 @@ def test_quantile_extremes_and_singleton():
     assert quantile([2, 9, 4], 1.0) == 9
 
 
-def test_quantile_errors():
-    with pytest.raises(EmptyDataError):
-        quantile([], 0.5)
-    with pytest.raises(DomainError):
-        quantile([1.0], 1.5)
-    with pytest.raises(DomainError):
-        quantile([1.0], -0.1)
-
-
 @given(positive_lists, st.floats(min_value=0.0, max_value=1.0))
 def test_quantile_matches_numpy_linear(values, q):
     ours = quantile(values, q)
     theirs = float(np.quantile(np.array(values), q, method="linear"))
     assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-12)
+    report = analyze(values)
+    assert (report.q10, report.q90) == (quantile(values, 0.1), quantile(values, 0.9))
 
 
 @given(positive_lists, st.floats(0, 1), st.floats(0, 1))
@@ -200,12 +192,15 @@ def test_log_histogram_constant_data_single_bin():
     hist = log_histogram([42.0] * 9, bin_width=0.25)
     assert len(hist.bins) == 1
     assert hist.bins[0][1] == 9
-    assert hist.core_log_span == pytest.approx(0.0)
+    report = analyze([42.0] * 9)
+    assert math.log10(report.q90) - math.log10(report.q10) == 0.0
 
 
 def test_log_histogram_rejects_non_positive():
     with pytest.raises(DomainError, match="index 1"):
         log_histogram([1.0, 0.0], bin_width=0.5)
+    with pytest.raises(DomainError, match="index 2"):
+        log_histogram([1.0, 2, 10**400], bin_width=0.5)
     for bad_width in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="bin width"):
             log_histogram([0.001, 1.0, 5e6], bin_width=bad_width)
@@ -260,15 +255,24 @@ def test_analyze_errors():
         analyze([1.0, -1.0])
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, math.inf, math.nan, pytest.param(10**400, id="10**400")]
+)
 def test_analyze_names_the_index_of_a_bad_value(bad):
     with pytest.raises(DomainError, match=r"index 2\b"):
         analyze([3.0, 1.0, bad, 2.0, bad])
 
 
+def test_analyze_finds_a_nan_that_sorts_between_good_values():
+    values = [1.0, 2.0, math.nan, 3.0, 4.0]
+    assert math.isnan(sorted(values)[2])
+    with pytest.raises(DomainError, match=r"index 2\b.*nan"):
+        analyze(values)
+
+
 def test_analyze_reports_a_zero_before_an_earlier_negative():
-    # The tally rejects zero, inf and NaN on its way through; a negative value
-    # is only seen after the sort.
+    # Zero, inf and NaN have no first digit and are reported before any
+    # negative value, wherever they stand.
     with pytest.raises(DomainError, match=r"index 3\b.*0\.0"):
         analyze([2.0, -5.0, 1.0, 0.0])
 

@@ -3,11 +3,11 @@
 The package simulates repeated random split-and-merge cycles over a
 population of positive quantities and measures how closely the first
 significant digits of the result follow Benford's Law, alongside general
-digit-conformance tooling (tallies, SSD, quantile ratios, log histograms)
-for any positive dataset.
+digit-conformance tooling (tallies, SSD, quantile ratios, and log10
+histograms as (bin index, count) pairs) for any positive dataset.
 """
 
-from .digits import benford_expected, first_significant_digit
+from .digits import first_significant_digit
 from .errors import (
     BenfordSimError,
     ConfigError,
@@ -27,7 +27,6 @@ from .experiments import (
 from .stats import (
     BENFORD_PCT,
     BenfordReport,
-    LogHistogram,
     analyze,
     log_histogram,
     ssd,
@@ -44,10 +43,8 @@ __all__ = [
     "DomainError",
     "EmptyDataError",
     "ExperimentConfig",
-    "LogHistogram",
     "UnderflowError",
     "analyze",
-    "benford_expected",
     "earthquake_fixture",
     "first_significant_digit",
     "log_histogram",

@@ -74,10 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except BenfordSimError as exc:
@@ -91,7 +88,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--hist-bin-width must be a positive finite number, got {width!r}"
         )
-    _check_output_dirs(args.out, args.emit_values, args.emit_hist)
+    _check_output_paths(args.out, args.emit_values, args.emit_hist)
     config = _resolve_config(args)
     print(f"seed: {config.seed}", file=sys.stderr)
     values, records = run_experiment(config)
@@ -99,8 +96,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.emit_values:
         _write_output(args.emit_values, "".join(f"{v}\n" for v in values))
     if args.emit_hist:
-        hist = stats.log_histogram(values, args.hist_bin_width)
-        _write_output(args.emit_hist, _render_histogram(hist))
+        bins = stats.log_histogram(values, width)
+        _write_output(args.emit_hist, _render_histogram(bins, width))
     return _EXIT_OK
 
 
@@ -108,7 +105,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.preset is not None:
         seed = args.seed if args.seed is not None else _generate_seed()
         return scheme_preset(_canonical_preset(args.preset), seed)
-    text = Path(args.config).read_text()
+    text = _read_input(args.config)
     try:
         return parse_config(text, seed=args.seed, source=args.config)
     except MissingSeedError:
@@ -133,9 +130,19 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    for path in paths:
-        if path and not Path(path).parent.is_dir():
+def _read_input(path: str) -> str:
+    """The text of a dataset or config file: UTF-8, with or without a byte order mark."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _check_output_paths(*paths: str | None) -> None:
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write {path}: its directory does not exist")
 
 
@@ -163,18 +170,18 @@ def _write_output(path: str, text: str) -> None:
         raise
 
 
-def _render_histogram(hist: stats.LogHistogram) -> str:
+def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:
     lines = ["bin,log10_lo,log10_hi,count"]
-    for index, count in hist.bins:
-        lo = hist.origin + index * hist.bin_width
-        hi = lo + hist.bin_width
+    for index, count in bins:
+        lo = index * width
+        hi = lo + width
         lines.append(f"{index},{lo:.6g},{hi:.6g},{count}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _check_output_dirs(args.out)
-    text = Path(args.input).read_text()  # OSError -> exit 2 in main()
+    _check_output_paths(args.out)
+    text = _read_input(args.input)  # OSError, ConfigError -> exit 2 in main()
     values, bad_lines = _parse_dataset(text)
     if bad_lines:
         shown = bad_lines[:20]

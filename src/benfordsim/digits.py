@@ -1,9 +1,10 @@
-"""First-significant-digit extraction and the Benford reference distribution.
+"""First-significant-digit extraction.
 
 The first significant digit of a number is the leftmost nonzero digit of its
 decimal magnitude: 613 -> 6, 0.0002867 -> 2, -62.97 -> 6. Benford's Law says
 that over many real-world datasets digit d leads with probability
-log10(1 + 1/d), so 1 leads about 30.1% of the time and 9 only 4.6%.
+log10(1 + 1/d), so 1 leads about 30.1% of the time and 9 only 4.6%;
+``stats.BENFORD_PCT`` holds that reference in percent.
 
 Digits are looked up, not estimated: a positive number at or above d * 10**k
 and below the next such boundary has digit d. The boundaries of the double
@@ -20,7 +21,7 @@ from functools import cache
 
 from .errors import DomainError
 
-__all__ = ["first_significant_digit", "benford_expected"]
+__all__ = ["first_significant_digit"]
 
 _LARGEST = sys.float_info.max
 
@@ -72,10 +73,3 @@ def first_significant_digit(x: float) -> int:
         raise DomainError("magnitudes beyond the largest double have no first significant digit")
     bounds, digits = boundary_table()
     return digits[bisect_right(bounds, m) - 1]
-
-
-def benford_expected(d: int) -> float:
-    """Benford probability log10(1 + 1/d) that digit ``d`` leads a number."""
-    if not 1 <= d <= 9:
-        raise DomainError(f"first significant digits are 1..9, got {d!r}")
-    return math.log10(1.0 + 1.0 / d)

@@ -3,10 +3,11 @@
 Provides the building blocks for judging how Benford-like a dataset is: the
 sum of squared deviations of first-digit percentages from the Benford
 percentages (SSD), quantiles with linear interpolation, and base-10 log
-histograms. ``analyze`` combines them around one sort per dataset: the sorted
-values give the 90th/10th percentile ratio (QTM), the classical log10(max/min)
-order of magnitude (OOM) and, by bisecting each digit boundary of the
-``digits`` table into them, the first-digit counts.
+histograms as (bin index, count) pairs. ``analyze`` builds its report around
+one sort per dataset: the sorted values give the 90th/10th percentile ratio
+(QTM), the classical log10(max/min) order of magnitude (OOM) and, by
+bisecting each digit boundary of the ``digits`` table into them, the
+first-digit counts.
 """
 
 from __future__ import annotations
@@ -17,20 +18,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .digits import benford_expected, boundary_table, first_significant_digit
+from .digits import boundary_table
 from .errors import DomainError, EmptyDataError
 
 __all__ = [
     "BENFORD_PCT",
     "BenfordReport",
-    "LogHistogram",
     "ssd",
     "log_histogram",
     "analyze",
 ]
 
-#: Benford expectation in percent, full precision, index i holds digit i + 1.
-BENFORD_PCT: tuple[float, ...] = tuple(100.0 * benford_expected(d) for d in range(1, 10))
+#: Benford's Law in percent, 100 * log10(1 + 1/d) at full precision; index i
+#: holds digit i + 1.
+BENFORD_PCT: tuple[float, ...] = tuple(100.0 * math.log10(1.0 + 1.0 / d) for d in range(1, 10))
 
 
 @dataclass(frozen=True)
@@ -45,19 +46,6 @@ class BenfordReport:
     oom: float
     n: int
     counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LogHistogram:
-    """Histogram of log10(value) with fixed-width bins.
-
-    A value x lands in bin floor((log10(x) - origin) / bin_width). ``bins``
-    lists (bin index, count) pairs for occupied bins, in index order.
-    """
-
-    bin_width: float
-    origin: float
-    bins: tuple[tuple[int, int], ...]
 
 
 def tally_digits(xs: Sequence[float]) -> tuple[int, ...]:
@@ -106,28 +94,38 @@ def _quantile_sorted(xs: Sequence[float], q: float) -> float:
     return xs[lo] + (h - lo) * (xs[lo + 1] - xs[lo])
 
 
-def log_histogram(
-    values: Sequence[float], bin_width: float, origin: float = 0.0
-) -> LogHistogram:
-    """Bin log10 of strictly positive ``values`` into fixed-width bins."""
+def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, int]]:
+    """Histogram of log10 of strictly positive ``values`` in fixed-width bins.
+
+    A value x lands in bin floor(log10(x) / bin_width), which spans
+    [index * bin_width, (index + 1) * bin_width) in log10 units. Returns the
+    (bin index, count) pairs of the occupied bins, in index order.
+    """
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise DomainError(f"bin width must be positive and finite, got {bin_width!r}")
     counts: dict[int, int] = {}
     for i, x in enumerate(values):
         if not 0.0 < x <= sys.float_info.max:
-            raise DomainError(f"value at index {i} is not strictly positive: {x!r}")
-        b = math.floor((math.log10(x) - origin) / bin_width)
+            raise DomainError(f"value at index {i} is not strictly positive: {_shown(x)}")
+        b = math.floor(math.log10(x) / bin_width)
         counts[b] = counts.get(b, 0) + 1
-    return LogHistogram(bin_width, origin, tuple(sorted(counts.items())))
+    return sorted(counts.items())
+
+
+def _shown(x: float) -> str:
+    """``x`` as an error message shows it: its repr, except for a finite
+    magnitude beyond the largest double (a huge int), whose repr may be too
+    long to build."""
+    if abs(x) > sys.float_info.max and abs(x) != math.inf:
+        return "a magnitude beyond the largest double"
+    return repr(x)
 
 
 def _first_bad_value(values: Sequence[float]) -> DomainError:
     """The error for the first zero, inf, NaN or out-of-range value, else the first negative."""
     for i, x in enumerate(values):
-        try:
-            first_significant_digit(x)
-        except DomainError:
-            return DomainError(f"value at index {i} has no first significant digit: {x!r}")
+        if not 0.0 < abs(x) <= sys.float_info.max:
+            return DomainError(f"value at index {i} has no first significant digit: {_shown(x)}")
     i = next(i for i, x in enumerate(values) if x < 0.0)
     return DomainError(f"value at index {i} is not strictly positive: {values[i]!r}")
 

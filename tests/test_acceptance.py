@@ -12,6 +12,7 @@ import statistics
 import pytest
 
 from benfordsim import (
+    BENFORD_PCT,
     analyze,
     earthquake_fixture,
     first_significant_digit,
@@ -21,7 +22,6 @@ from benfordsim import (
     ssd,
 )
 from benfordsim.cli import main as cli_main
-from benfordsim.digits import benford_expected
 from benfordsim.experiments import ExperimentConfig
 from benfordsim.process import run
 
@@ -109,7 +109,7 @@ def test_criterion_03_earthquake_sample():
 
 def test_criterion_04_benford_vector():
     rounded = (30.1, 17.6, 12.5, 9.7, 7.9, 6.7, 5.8, 5.1, 4.6)
-    pct = [100.0 * benford_expected(d) for d in range(1, 10)]
+    pct = BENFORD_PCT
     worst = max(abs(p - r) for p, r in zip(pct, rounded))
     total = math.fsum(pct)
     ok = worst < 0.05 and abs(total - 100.0) < 1e-9

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import stat
@@ -102,9 +103,9 @@ def test_run_generates_and_reports_a_seed_when_omitted(capsys, tmp_path, monkeyp
     reads = []
     read_text = Path.read_text
 
-    def counted_read_text(path):
+    def counted_read_text(path, *args, **kwargs):
         reads.append(path)
-        return read_text(path)
+        return read_text(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counted_read_text)
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
@@ -155,6 +156,40 @@ def test_run_config_file_and_value_emission(capsys, tmp_path):
     hist_lines = hist_path.read_text().splitlines()
     assert hist_lines[0] == "bin,log10_lo,log10_hi,count"
     assert sum(int(line.split(",")[3]) for line in hist_lines[1:]) == 40
+
+
+# sha256 of the --emit-hist file of `run --preset P --seed 1 --hist-bin-width W`.
+GOLDEN_HIST_DIGESTS = {
+    ("Gradual_A", "0.25"): "7ef6267a7ac2c7ebdf3b83e59f6bba326e768f9c4d2bb85a2ce4d07c73d2a584",
+    ("Gradual_A", "0.1"): "389113965b1ac40fcae2dab238776d90ed9ce7fcd99afba911887bbdac7c4988",
+    ("Gradual_A", "7.3"): "e5fe08711732a6a1eab6b6a6c5cf63a59d3e2d56d724925bc0e5d375697024b3",
+    ("Small_100", "0.25"): "ae9f122a295bcd003b4ed36d6a2856774716c38cf5b854b5063f218b2714a3b3",
+    ("Small_100", "0.1"): "1ebd3348994010005e0e94fb98dc4452bfe466cec1affce6915b05080e73cf76",
+    ("Small_100", "7.3"): "e6719aafb4730d956baa8d6171fa8345dd7f73e0b2bf6a6f3f0ee84edc40329f",
+}
+
+
+@pytest.mark.parametrize("preset, width", sorted(GOLDEN_HIST_DIGESTS))
+def test_histogram_file_matches_golden_digest(capsys, tmp_path, preset, width):
+    hist = tmp_path / "hist.csv"
+    code, _, _ = run_cli(
+        capsys, "run", "--preset", preset, "--seed", "1",
+        "--emit-hist", str(hist), "--hist-bin-width", width,
+    )
+    assert code == 0
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == GOLDEN_HIST_DIGESTS[preset, width]
+
+
+def test_run_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text(
+        "\ufeffball_count = 10\ninitial_value = 1\ncycles = 30\npolicy = uniform\nseed = 4\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert "seed: 4" in err
+    assert out.startswith(CSV_HEADER)
 
 
 def test_run_seed_flag_overrides_config_seed(capsys, tmp_path):
@@ -232,8 +267,7 @@ RUN_WITH_ALL_OUTPUTS = (
     "run --preset Small_100 --seed 1 --out {tmp}/t.csv --emit-values {tmp}/v.txt --emit-hist {tmp}/h.csv"
 )
 
-
-@pytest.mark.parametrize(
+OUTPUT_FLAGS = pytest.mark.parametrize(
     "command, flag",
     [
         (RUN_WITH_ALL_OUTPUTS, "--out"),
@@ -243,6 +277,9 @@ RUN_WITH_ALL_OUTPUTS = (
     ],
     ids=["run-out", "run-emit-values", "run-emit-hist", "analyze-out"],
 )
+
+
+@OUTPUT_FLAGS
 def test_missing_output_directory_exits_2_before_running(capsys, tmp_path, command, flag):
     argv = command.format(tmp=tmp_path).split()
     argv[argv.index(flag) + 1] = str(tmp_path / "missing" / "file")
@@ -252,6 +289,21 @@ def test_missing_output_directory_exits_2_before_running(capsys, tmp_path, comma
     assert "seed:" not in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@OUTPUT_FLAGS
+def test_output_path_that_is_a_directory_exits_2_before_running(capsys, tmp_path, command, flag):
+    argv = command.format(tmp=tmp_path).split()
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argv[argv.index(flag) + 1] = str(taken)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"cannot write {taken}: it is a directory" in err
+    assert "seed:" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [taken]
+    assert list(taken.iterdir()) == []
 
 
 class HalfWriter:
@@ -394,6 +446,35 @@ def test_analyze_header_is_auto_detected(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", str(data))
     assert code == 0
     assert "n,3" in out
+
+
+def test_analyze_reads_utf8_with_or_without_a_byte_order_mark(capsys, tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"1.5\n2.5\n3.5\n")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+    code, out, _ = run_cli(capsys, "analyze", str(bom))
+    assert code == 0
+    assert "n,3" in out
+    assert run_cli(capsys, "analyze", str(plain)) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("analyze {path}", b"1.5\n\xff2.5\n"),
+        ("run --config {path}", b"ball_count = 10\ninitial_value = 1\xff\ncycles = 30\npolicy = uniform\nseed = 1\n"),
+    ],
+    ids=["analyze", "run-config"],
+)
+def test_undecodable_input_file_exits_2(capsys, tmp_path, command, content):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *command.format(path=path).split())
+    assert code == 2
+    assert err.startswith(f"error: {path}: ")
+    assert "can't decode byte 0xff" in err
+    assert out == ""
 
 
 def test_analyze_zero_value_names_the_line(capsys, tmp_path):

@@ -12,7 +12,6 @@ from benfordsim import (
     BENFORD_PCT,
     DomainError,
     analyze,
-    benford_expected,
     first_significant_digit,
 )
 
@@ -169,14 +168,8 @@ def test_result_is_always_a_digit(x):
 
 
 def test_benford_expected_endpoints():
-    assert benford_expected(1) == pytest.approx(0.30103, abs=5e-6)
-    assert benford_expected(9) == pytest.approx(0.04576, abs=5e-6)
-
-
-@pytest.mark.parametrize("d", [0, 10, -1])
-def test_benford_expected_rejects_non_digits(d):
-    with pytest.raises(DomainError):
-        benford_expected(d)
+    assert BENFORD_PCT[0] == pytest.approx(30.103, abs=5e-4)
+    assert BENFORD_PCT[8] == pytest.approx(4.576, abs=5e-4)
 
 
 def test_benford_distribution_matches_rounded_table():

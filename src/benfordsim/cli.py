@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     width = args.hist_bin_width
-    if args.emit_hist and not (math.isfinite(width) and width > 0.0):
+    if args.emit_hist and not stats._admits_bin_width(width):
         raise ConfigError(
             f"--hist-bin-width must be a positive finite number, got {width!r}"
         )
@@ -180,28 +180,65 @@ def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Report the digit conformance of a dataset file, or explain why it has none.
+
+    A regular file of plain numbers takes the fast path, ``_analyze_plain_numbers``.
+    Any other input, and any file that path turns down, is read whole and
+    parsed by ``_parse_dataset``, which names every bad line; so every message,
+    line number and exit code comes from that one parser.
+    """
     _check_output_paths(args.out)
-    text = _read_input(args.input)  # OSError, ConfigError -> exit 2 in main()
-    values, bad_lines = _parse_dataset(text)
-    if bad_lines:
-        shown = bad_lines[:20]
-        for lineno, line, why in shown:
-            print(f"error: line {lineno}: {why}: {line!r}", file=sys.stderr)
-        if len(bad_lines) > len(shown):
-            print(f"error: ... and {len(bad_lines) - len(shown)} more bad lines", file=sys.stderr)
-        return _EXIT_RUNTIME
-    if not values:
-        print(f"error: {args.input}: no data values found", file=sys.stderr)
-        return _EXIT_RUNTIME
-    report = stats.analyze(values)
+    report = _analyze_plain_numbers(args.input) if Path(args.input).is_file() else None
+    if report is None:
+        text = _read_input(args.input)  # OSError, ConfigError -> exit 2 in main()
+        values, bad_lines = _parse_dataset(text)
+        if bad_lines:
+            shown = bad_lines[:20]
+            for lineno, line, why in shown:
+                print(f"error: line {lineno}: {why}: {line!r}", file=sys.stderr)
+            if len(bad_lines) > len(shown):
+                print(f"error: ... and {len(bad_lines) - len(shown)} more bad lines", file=sys.stderr)
+            return _EXIT_RUNTIME
+        if not values:
+            print(f"error: {args.input}: no data values found", file=sys.stderr)
+            return _EXIT_RUNTIME
+        report = stats.analyze(values)
     _emit(_render_analysis(report, args.format), args.out)
     return _EXIT_OK
+
+
+def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
+    """The report of a file whose lines after the first are each one number,
+    else None, for ``_parse_dataset`` to explain.
+
+    The first line is decoded as ``_read_input`` decodes a file and goes
+    through ``_parse_dataset``, which decides whether it is a header; a bad
+    first line gives None. Every later line goes to ``float`` as bytes as it
+    is read, and ``stats.analyze`` rejects a zero, negative, inf or NaN
+    value. This gives ``_parse_dataset``'s values exactly: a line of bytes
+    that ``float`` accepts is one number padded with ASCII whitespace, so it
+    decodes as it is and each piece ``str.splitlines`` cuts from it is blank
+    or that number. After a blank first line, the first line that is not
+    blank is a number here, so it is data to ``_parse_dataset`` too.
+    """
+    try:
+        with open(path, "rb") as f:
+            head = f.readline().decode("utf-8-sig")
+            values, bad_lines = _parse_dataset(head)
+            if bad_lines:
+                return None
+            values.extend(map(float, f))
+        return stats.analyze(values)
+    except ValueError:  # also a UnicodeDecodeError, and analyze's DomainError or EmptyDataError
+        return None
 
 
 def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
     """Parse one value per line; returns (values, bad (lineno, text, reason) rows).
 
-    A non-numeric first line is taken as a header and skipped.
+    A non-numeric first line is taken as a header and skipped. This is the
+    parser that explains a bad dataset; ``cmd_analyze`` runs it on the whole
+    text only when its fast path turns the file down.
     """
     values: list[float] = []
     bad: list[tuple[int, str, str]] = []

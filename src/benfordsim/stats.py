@@ -94,6 +94,16 @@ def _quantile_sorted(xs: Sequence[float], q: float) -> float:
     return xs[lo] + (h - lo) * (xs[lo + 1] - xs[lo])
 
 
+# The largest |log10 x| of a positive double, that of the smallest subnormal.
+_MAX_ABS_LOG10 = -math.log10(5e-324)
+
+
+def _admits_bin_width(bin_width: float) -> bool:
+    """Whether ``bin_width`` is positive and finite and gives every positive
+    double a finite bin index; widths below ~1.8e-306 do not."""
+    return 0.0 < bin_width < math.inf and math.isfinite(_MAX_ABS_LOG10 / bin_width)
+
+
 def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, int]]:
     """Histogram of log10 of strictly positive ``values`` in fixed-width bins.
 
@@ -101,7 +111,7 @@ def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, 
     [index * bin_width, (index + 1) * bin_width) in log10 units. Returns the
     (bin index, count) pairs of the occupied bins, in index order.
     """
-    if not (math.isfinite(bin_width) and bin_width > 0.0):
+    if not _admits_bin_width(bin_width):
         raise DomainError(f"bin width must be positive and finite, got {bin_width!r}")
     counts: dict[int, int] = {}
     for i, x in enumerate(values):

@@ -1,16 +1,20 @@
 import errno
 import hashlib
 import json
+import math
 import os
+import random
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from benfordsim import cli
+from benfordsim import cli, stats
 from benfordsim.cli import _parse_dataset, main
+from benfordsim.errors import ConfigError
 from benfordsim.experiments import CSV_HEADER
 
 EARTHQUAKE_CSV = "src/benfordsim/data/earthquake_intervals.csv"
@@ -166,6 +170,7 @@ GOLDEN_HIST_DIGESTS = {
     ("Small_100", "0.25"): "ae9f122a295bcd003b4ed36d6a2856774716c38cf5b854b5063f218b2714a3b3",
     ("Small_100", "0.1"): "1ebd3348994010005e0e94fb98dc4452bfe466cec1affce6915b05080e73cf76",
     ("Small_100", "7.3"): "e6719aafb4730d956baa8d6171fa8345dd7f73e0b2bf6a6f3f0ee84edc40329f",
+    ("Small_100", "1e-300"): "b116c1abdd283e0dd48a971cbdaa333d93e1adf2455889fd4c4214d782324b72",
 }
 
 
@@ -239,7 +244,7 @@ def test_run_seed_outside_64_bits_exits_2(capsys, seed):
     assert out == ""
 
 
-@pytest.mark.parametrize("width", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("width", ["-1", "0", "nan", "inf", "1e-307", "1e-310"])
 def test_run_bad_hist_bin_width_exits_2_before_running(capsys, tmp_path, width):
     out_path = tmp_path / "table.csv"
     code, out, err = run_cli(
@@ -517,3 +522,121 @@ def test_analyze_empty_file_is_an_error(capsys, tmp_path):
     data.write_text("")
     code, _, err = run_cli(capsys, "analyze", str(data))
     assert code == 1
+
+
+def log_uniform_lines(n, seed):
+    """``n`` reprs of doubles log-uniform over the normal range, one per line."""
+    rng = random.Random(seed)
+    return [repr(math.ldexp(2.0 ** rng.random(), rng.randrange(-1022, 1024))) for _ in range(n)]
+
+
+ANALYZE_DATASETS = {
+    "log_uniform": lambda: "".join(f"{x}\n" for x in log_uniform_lines(100_000, 8)),
+    "log_uniform_header_crlf": lambda: "value\r\n" + "".join(f"{x}\r\n" for x in log_uniform_lines(100_000, 8)),
+    "earthquake": lambda: Path(EARTHQUAKE_CSV).read_text(),
+}
+
+# sha256 of `analyze DATASET --format F` stdout.
+GOLDEN_ANALYZE_DIGESTS = {
+    ("earthquake", "csv"): "40232e89cb9af0f1016560f9505c83ed902b2f824d5c71e6a17c4ddcc964ae9a",
+    ("earthquake", "json"): "592f368716f85c01d9c4fcd35a87eb061f6835f31167ae6d1c953672f2a97c2e",
+    ("log_uniform", "csv"): "d4ecea1e101e0603fcfc421a8fda969d5e34865760d96579a9917707de295e20",
+    ("log_uniform", "json"): "649e8006816a57c3b3faa558a4827f4a493db4336d0f35fb10ba16c116cfbfb2",
+    ("log_uniform_header_crlf", "csv"): "d4ecea1e101e0603fcfc421a8fda969d5e34865760d96579a9917707de295e20",
+    ("log_uniform_header_crlf", "json"): "649e8006816a57c3b3faa558a4827f4a493db4336d0f35fb10ba16c116cfbfb2",
+}
+
+
+@pytest.mark.parametrize("dataset, format", sorted(GOLDEN_ANALYZE_DIGESTS))
+def test_analyze_output_matches_golden_digest(capsys, tmp_path, dataset, format):
+    data = tmp_path / "data.csv"
+    data.write_bytes(ANALYZE_DATASETS[dataset]().encode())
+    code, out, err = run_cli(capsys, "analyze", str(data), "--format", format)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE_DIGESTS[dataset, format]
+
+
+# Lines of numbers, mostly clean, with every shape the dataset parser treats
+# apart: blanks, headers, values out of range, "\x1f" padding (str.strip drops
+# it, float does not), underscores, full-width digits and the line breaks of
+# str.splitlines that are not "\n".
+FUZZ_NUMBERS = ["1.5", "12", "3e5", "7.25e-3", " 42 ", "\t9.75", "6.02e23\x0c", "8_0", "\uff12\uff13"]
+FUZZ_OTHERS = [
+    "value", "interval_seconds", "", "   ", "nan", "inf", "-inf", "0", "-0.0", "-3", "1e-400",
+    "\x1f2.5", "2.5\x1f", "wat", "1 2",
+]
+FUZZ_SEPARATORS = ["\n", "\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
+
+
+def fuzz_dataset(rng):
+    tokens = ["value"] if rng.random() < 0.3 else []
+    for _ in range(rng.randrange(8)):
+        tokens.append(rng.choice(FUZZ_NUMBERS if rng.random() < 0.85 else FUZZ_OTHERS))
+    seps = [rng.choice(FUZZ_SEPARATORS) if rng.random() < 0.2 else "\n" for _ in tokens]
+    data = "".join(t + s for t, s in zip(tokens, seps))
+    if data and rng.random() < 0.2:
+        data = data[:-1]
+    raw = data.encode()
+    if rng.random() < 0.1:
+        raw = b"\xef\xbb\xbf" + raw
+    if rng.random() < 0.05:
+        raw += b"\xff"
+    return raw
+
+
+def analyze_by_the_line_parser(path, format):
+    """(exit code, stdout, stderr) of `analyze PATH` built from the line parser alone."""
+    try:
+        text = cli._read_input(path)
+    except ConfigError as exc:
+        return 2, "", f"error: {exc}\n"
+    values, bad = _parse_dataset(text)
+    if bad:
+        err = "".join(f"error: line {n}: {why}: {line!r}\n" for n, line, why in bad[:20])
+        if len(bad) > 20:
+            err += f"error: ... and {len(bad) - 20} more bad lines\n"
+        return 1, "", err
+    if not values:
+        return 1, "", f"error: {path}: no data values found\n"
+    return 0, cli._render_analysis(stats.analyze(values), format), ""
+
+
+def test_analyze_fast_path_gives_the_line_parsers_output(capsys, tmp_path):
+    rng = random.Random(20150519)
+    path = str(tmp_path / "data.csv")
+    codes, fast = [], 0
+    for _ in range(1000):
+        Path(path).write_bytes(fuzz_dataset(rng))
+        format = rng.choice(["csv", "json"])
+        expected = analyze_by_the_line_parser(path, format)
+        assert run_cli(capsys, "analyze", path, "--format", format) == expected, Path(path).read_bytes()
+        codes.append(expected[0])
+        fast += cli._analyze_plain_numbers(path) is not None
+    # Every outcome occurs, and the fast path answers a good share of the clean files.
+    assert min(codes.count(0), codes.count(1), codes.count(2), fast) > 30
+
+
+def analyze_from_a_fifo(fifo, data):
+    """`analyze` in a child process on a new FIFO that ``data`` is written into once."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()  # blocks in open() until analyze opens the FIFO for reading
+    proc = subprocess.run(
+        [sys.executable, "-m", "benfordsim.cli", "analyze", str(fifo)],
+        capture_output=True, text=True, timeout=60,
+    )
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_analyze_reads_a_fifo_once(capsys, tmp_path):
+    assert analyze_from_a_fifo(tmp_path / "bad.fifo", b"value\n1.5\n2.5\n-3\n4.5\n") == (
+        1, "", "error: line 4: not strictly positive: '-3'\n",
+    )
+    clean = "".join(f"{x}\n" for x in log_uniform_lines(1000, 3))
+    data = tmp_path / "data.csv"
+    data.write_text(clean)
+    code, out, err = run_cli(capsys, "analyze", str(data))
+    assert code == 0
+    assert analyze_from_a_fifo(tmp_path / "clean.fifo", clean.encode()) == (0, out, err)

@@ -205,6 +205,17 @@ def test_log_histogram_rejects_non_positive():
             log_histogram([0.001, 1.0, 5e6], bin_width=bad_width)
 
 
+def test_log_histogram_admits_exactly_the_widths_that_give_every_double_a_bin():
+    # |log10 x| <= 323.31 for every positive double, so a width is admitted
+    # when 323.31 / width is finite, whatever the data.
+    extremes = [5e-324, sys.float_info.max]
+    assert [c for _, c in log_histogram(extremes, bin_width=2e-306)] == [1, 1]
+    for tiny in (1e-307, 1e-310, 5e-324):
+        for values in ([5e-324], [1.0, 10.0]):
+            with pytest.raises(DomainError, match="bin width"):
+                log_histogram(values, bin_width=tiny)
+
+
 @given(positive_lists, st.floats(min_value=0.01, max_value=2.0))
 def test_log_histogram_partitions_the_data(values, bin_width):
     bins = log_histogram(values, bin_width)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ _EXIT_CONFIG = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command line; ``main`` keeps one of its own."""
     parser = argparse.ArgumentParser(
         prog="benfordsim",
         description=(
@@ -70,8 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of main and kept: a parse leaves no state in it.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:
@@ -84,10 +90,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     width = args.hist_bin_width
-    if args.emit_hist and not stats._admits_bin_width(width):
-        raise ConfigError(
-            f"--hist-bin-width must be a positive finite number, got {width!r}"
-        )
+    if args.emit_hist:
+        if not 0.0 < width < math.inf:
+            raise ConfigError(f"--hist-bin-width must be a positive finite number, got {width!r}")
+        if stats._bin_width_is_tiny(width):
+            raise ConfigError(f"--hist-bin-width {width!r} is too small: {stats._TINY_BIN_WIDTH_WHY}")
     _check_output_paths(args.out, args.emit_values, args.emit_hist)
     config = _resolve_config(args)
     print(f"seed: {config.seed}", file=sys.stderr)

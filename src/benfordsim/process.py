@@ -55,8 +55,10 @@ def run(
     Draws follow the module's draw-order contract: an index below n is
     ``getrandbits(n.bit_length())`` redrawn while >= n (CPython's
     ``randrange(n)``), and a uniform ratio is ``random()`` redrawn while 0.0.
-    The split ball w becomes w*u and w*(1-u); the second fragment is
-    appended, and the merge moves the last ball into the removed ball's slot.
+    The split ball w becomes w*u, in its slot, and w*(1-u), which is held
+    aside as ball index L; the list never grows. The merge removes the ball
+    drawn over the L + 1: a ball below L gives its slot to that second
+    fragment, and index L is the fragment itself.
     A single ball is stationary: the two fragments are the only merge
     candidates. Ball order carries no meaning; the process is exchangeable.
 
@@ -73,6 +75,9 @@ def run(
     n1 = n + 1
     k = n.bit_length()
     k1 = n1.bit_length()
+    if ratio is not None:
+        u = ratio
+        v = 1.0 - ratio
     for _ in range(cycles):
         i = bits(k)
         while i >= n:
@@ -81,21 +86,21 @@ def run(
             u = uniform()
             while u == 0.0:
                 u = uniform()
-        else:
-            u = ratio
+            v = 1.0 - u
         w = values[i]
         a = w * u
-        b = w * (1.0 - u)
+        b = w * v
         if a == 0.0 or b == 0.0:
             raise UnderflowError(f"splitting {w!r} at ratio {u!r} underflowed to zero")
         values[i] = a
-        values.append(b)
         j = bits(k1)
         while j >= n1:
             j = bits(k1)
-        removed = values[j]
-        values[j] = values[-1]
-        values.pop()
+        if j < n:
+            removed = values[j]
+            values[j] = b
+        else:
+            removed = b
         m = bits(k)
         while m >= n:
             m = bits(k)

@@ -98,10 +98,14 @@ def _quantile_sorted(xs: Sequence[float], q: float) -> float:
 _MAX_ABS_LOG10 = -math.log10(5e-324)
 
 
-def _admits_bin_width(bin_width: float) -> bool:
-    """Whether ``bin_width`` is positive and finite and gives every positive
-    double a finite bin index; widths below ~1.8e-306 do not."""
-    return 0.0 < bin_width < math.inf and math.isfinite(_MAX_ABS_LOG10 / bin_width)
+#: Why a positive finite width that ``_bin_width_is_tiny`` flags is refused.
+_TINY_BIN_WIDTH_WHY = "log10 of the smallest double / width overflows"
+
+
+def _bin_width_is_tiny(bin_width: float) -> bool:
+    """Whether a positive finite ``bin_width`` leaves some positive double
+    without a finite bin index; widths below ~1.8e-306 do."""
+    return not math.isfinite(_MAX_ABS_LOG10 / bin_width)
 
 
 def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, int]]:
@@ -111,8 +115,10 @@ def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, 
     [index * bin_width, (index + 1) * bin_width) in log10 units. Returns the
     (bin index, count) pairs of the occupied bins, in index order.
     """
-    if not _admits_bin_width(bin_width):
+    if not 0.0 < bin_width < math.inf:
         raise DomainError(f"bin width must be positive and finite, got {bin_width!r}")
+    if _bin_width_is_tiny(bin_width):
+        raise DomainError(f"bin width {bin_width!r} is too small: {_TINY_BIN_WIDTH_WHY}")
     counts: dict[int, int] = {}
     for i, x in enumerate(values):
         if not 0.0 < x <= sys.float_info.max:

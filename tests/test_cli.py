@@ -14,7 +14,7 @@ import pytest
 
 from benfordsim import cli, stats
 from benfordsim.cli import _parse_dataset, main
-from benfordsim.errors import ConfigError
+from benfordsim.errors import ConfigError, DomainError
 from benfordsim.experiments import CSV_HEADER
 
 EARTHQUAKE_CSV = "src/benfordsim/data/earthquake_intervals.csv"
@@ -266,6 +266,35 @@ def test_run_bad_hist_bin_width_exits_2_before_running(capsys, tmp_path, width):
     assert "seed:" not in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_tiny_hist_bin_width_names_the_overflow(capsys, tmp_path):
+    # A positive finite width is refused only when log10 of the smallest
+    # double over it overflows; the message says so, and so does log_histogram's.
+    hist = tmp_path / "hist.csv"
+    argv = ["run", "--preset", "Small_100", "--seed", "1", "--emit-hist", str(hist)]
+    code, out, err = run_cli(capsys, *argv, "--hist-bin-width", "1e-310")
+    why = "is too small: log10 of the smallest double / width overflows"
+    assert (code, out, err) == (2, "", f"error: --hist-bin-width 1e-310 {why}\n")
+    with pytest.raises(DomainError, match=f"^bin width 1e-310 {why}$"):
+        stats.log_histogram([1.0], 1e-310)
+
+
+def test_consecutive_main_calls_share_no_state(capsys, tmp_path):
+    # main parses with one parser for the whole process; no call may see
+    # what an earlier one parsed.
+    hist = tmp_path / "h1.csv"
+    run = ["run", "--preset", "Small_100", "--seed", "1"]
+    assert run_cli(capsys, *run, "--emit-hist", str(hist))[0] == 0
+    hist.unlink()
+    code, out, _ = run_cli(capsys, *run)
+    assert code == 0 and out.startswith(CSV_HEADER)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "A", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "run", "--preset", "Small_100", "--seed", "1") == (0, out, "seed: 1\n")
 
 
 RUN_WITH_ALL_OUTPUTS = (

@@ -90,8 +90,8 @@ def test_fixed_ratio_bounds():
 
 
 def test_fragment_even_split():
-    # Ball 0 splits into 1.0 + 1.0; the merge then removes the appended
-    # fragment (index 2) and adds it to the 8.0.
+    # Ball 0 splits into 1.0 + 1.0; the merge then removes the second
+    # fragment (index L = 2) and adds it to the 8.0.
     values, _ = one_cycle([2.0, 8.0], 0.5, [0, 2, 1])
     assert values == [1.0, 9.0]
 
@@ -132,15 +132,15 @@ def test_fragment_underflow_is_an_error():
 
 def test_consolidate_two_35s_into_70():
     values, _ = one_cycle([35.0, 35.0, 31.0, 4.0, 35.0, 35.0, 35.0], 0.5, [3, 5, 6])
-    # 4 splits into 2 + 2; the 35 at index 5 is removed, the trailing 2 takes
+    # 4 splits into 2 + 2; the 35 at index 5 is removed, the second 2 takes
     # its slot, and the 35 at index 6 receives it.
     assert values == [35.0, 35.0, 31.0, 2.0, 35.0, 2.0, 70.0]
 
 
 def test_consolidate_2_and_70_into_72():
     values, _ = one_cycle([35.0, 35.0, 31.0, 8.0, 35.0, 70.0, 35.0], 0.25, [3, 3, 5])
-    # 8 splits into 2 (kept at index 3) and 6 (appended). Removing index 3
-    # swaps the trailing 6 into its slot; the 70 at index 5 absorbs the 2.
+    # 8 splits into 2 (kept at index 3) and 6 (index L = 7). Removing index 3
+    # puts the 6 into its slot; the 70 at index 5 absorbs the 2.
     assert values == [35.0, 35.0, 31.0, 6.0, 35.0, 72.0, 35.0]
 
 
@@ -202,6 +202,32 @@ def test_draw_order_redraws_a_zero_ratio():
     assert calls == [("bits", 2), "ratio", "ratio", ("bits", 3), ("bits", 2)]
 
 
+def reference_run(values, ratio, rng, cycles):
+    """The process written plainly, through CPython's randrange: the second
+    fragment is appended as ball L, and the merge moves the last ball
+    into the removed one's slot. Returns the (i, j) draws of every cycle."""
+    n = len(values)
+    draws = []
+    for _ in range(cycles):
+        i = rng.randrange(n)
+        if ratio is None:
+            u = rng.random()
+            while u == 0.0:
+                u = rng.random()
+        else:
+            u = ratio
+        w = values[i]
+        values[i] = w * u
+        values.append(w * (1.0 - u))
+        j = rng.randrange(n + 1)
+        removed = values[j]
+        values[j] = values[-1]
+        values.pop()
+        values[rng.randrange(n)] += removed
+        draws.append((i, j))
+    return draws
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 1001, 1023, 1024, 1025, 2000, 2001])
 def test_inline_rejection_matches_cpython_randrange(n, seed):
@@ -209,23 +235,29 @@ def test_inline_rejection_matches_cpython_randrange(n, seed):
     # balls randrange picks (seen in the ordered final values) and leave the
     # generator where randrange leaves it; otherwise every seed re-rolls.
     cycles = 40
-    ref = random.Random(seed)
+    for ratio in (None, 0.5, 0.85):
+        ref = random.Random(seed)
+        expected = [1.0] * n
+        reference_run(expected, ratio, ref, cycles)
+        gen = random.Random(seed)
+        assert run([1.0] * n, ratio, gen, cycles) == expected, ratio
+        assert gen.getstate() == ref.getstate(), ratio
+
+
+@pytest.mark.parametrize("ratio", [None, 0.5, 0.85])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_systems_match_the_reference_when_a_fragment_is_removed(n, ratio):
+    # With few balls the merge often removes one of the two fragments: the
+    # one held aside as ball L (j == n) or the one left in the split slot
+    # (j == i). Both must occur, and the run must still match the reference.
+    cycles = 300
+    ref = random.Random(n)
     expected = [1.0] * n
-    for _ in range(cycles):
-        i = ref.randrange(n)
-        u = ref.random()
-        while u == 0.0:
-            u = ref.random()
-        w = expected[i]
-        expected[i] = w * u
-        expected.append(w * (1.0 - u))
-        j = ref.randrange(n + 1)
-        removed = expected[j]
-        expected[j] = expected[-1]
-        expected.pop()
-        expected[ref.randrange(n)] += removed
-    gen = random.Random(seed)
-    assert run([1.0] * n, None, gen, cycles) == expected
+    draws = reference_run(expected, ratio, ref, cycles)
+    assert sum(j == n for _, j in draws) > 10
+    assert sum(j == i for i, j in draws) > 10
+    gen = random.Random(n)
+    assert run([1.0] * n, ratio, gen, cycles) == expected
     assert gen.getstate() == ref.getstate()
 
 

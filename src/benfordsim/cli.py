@@ -95,13 +95,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError(f"--hist-bin-width must be a positive finite number, got {width!r}")
         if stats._bin_width_is_tiny(width):
             raise ConfigError(f"--hist-bin-width {width!r} is too small: {stats._TINY_BIN_WIDTH_WHY}")
-    _check_output_paths(args.out, args.emit_values, args.emit_hist)
+    outputs = {"--out": args.out, "--emit-values": args.emit_values, "--emit-hist": args.emit_hist}
+    _check_output_paths(outputs, "--config", args.config)
     config = _resolve_config(args)
     print(f"seed: {config.seed}", file=sys.stderr)
     values, records = run_experiment(config)
     _emit(render_table(records, args.format), args.out)
     if args.emit_values:
-        _write_output(args.emit_values, "".join(f"{v}\n" for v in values))
+        _write_output(args.emit_values, "\n".join(map(repr, values)) + "\n")
     if args.emit_hist:
         bins = stats.log_histogram(values, width)
         _write_output(args.emit_hist, _render_histogram(bins, width))
@@ -145,12 +146,23 @@ def _read_input(path: str) -> str:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _check_output_paths(*paths: str | None) -> None:
-    for path in filter(None, paths):
+def _check_output_paths(outputs: dict[str, str | None], input_name: str, input_path: str | None) -> None:
+    """Refuse, before any work, an output path (keyed by its flag) that cannot be
+    written or that names the same file as another output or the input, which
+    writing it would destroy. An existing file that is not a regular one, such
+    as /dev/null, may be named more than once."""
+    seen = {os.path.realpath(input_path): input_name} if input_path else {}
+    for flag, path in outputs.items():
+        if not path:
+            continue
         if Path(path).is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
         if not Path(path).parent.is_dir():
             raise ConfigError(f"cannot write {path}: its directory does not exist")
+        real = os.path.realpath(path)
+        if real in seen and (Path(real).is_file() or not Path(real).exists()):
+            raise ConfigError(f"cannot write {path}: {flag} names the same file as {seen[real]}")
+        seen[real] = flag
 
 
 def _write_output(path: str, text: str) -> None:
@@ -194,7 +206,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     parsed by ``_parse_dataset``, which names every bad line; so every message,
     line number and exit code comes from that one parser.
     """
-    _check_output_paths(args.out)
+    _check_output_paths({"--out": args.out}, "the input", args.input)
     report = _analyze_plain_numbers(args.input) if Path(args.input).is_file() else None
     if report is None:
         text = _read_input(args.input)  # OSError, ConfigError -> exit 2 in main()

@@ -10,12 +10,9 @@ reference schemes (A: 2000 balls, 8000 uniform-split cycles; B: 1500 balls,
 
 from __future__ import annotations
 
-import json
 import random
 import sys
-from dataclasses import asdict, dataclass
-from importlib import resources
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import stats
 from .errors import ConfigError, MissingSeedError
@@ -38,16 +35,7 @@ CSV_HEADER = "cycle,d1,d2,d3,d4,d5,d6,d7,d8,d9,ssd,q10,q90,qtm"
 _FIXTURE_FILE = "earthquake_intervals.csv"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully pinned run; the seed is mandatory so every run is replayable.
-
-    ``ratio`` is None for a fresh Uniform(0, 1) split ratio each cycle, or a
-    fixed float in (0, 1). ``seed`` is an integer in [0, 2**64). Integer
-    fields reject ``bool``. This is the one place a run is validated;
-    ``process.run`` trusts it.
-    """
-
+class _ConfigFields(NamedTuple):
     ball_count: int
     initial_value: float
     cycles: int
@@ -55,7 +43,22 @@ class ExperimentConfig:
     seed: int
     checkpoints: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class ExperimentConfig(_ConfigFields):
+    """One fully pinned run; the seed is mandatory so every run is replayable.
+
+    ``ratio`` is None for a fresh Uniform(0, 1) split ratio each cycle, or a
+    fixed float in (0, 1). ``seed`` is an integer in [0, 2**64). Integer
+    fields reject ``bool``. This is the one place a run is validated;
+    ``process.run`` trusts it: every way to build a config, ``_make`` and
+    ``_replace`` included, goes through these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ball_count: int, initial_value: float, cycles: int, ratio: float | None,
+                seed: int, checkpoints: tuple[int, ...]) -> ExperimentConfig:
+        self = super().__new__(cls, ball_count, initial_value, cycles, ratio, seed, checkpoints)
         if type(self.ball_count) is not int or self.ball_count < 1:
             raise ConfigError(f"ball_count must be a positive integer, got {self.ball_count!r}")
         v = self.initial_value
@@ -76,10 +79,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"checkpoints must lie in [0, {self.cycles}], got {self.checkpoints}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ExperimentConfig:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
     """One table row: the analysis of the system snapshot at a cycle number."""
 
     cycle: int
@@ -91,15 +98,8 @@ class CheckpointRecord:
 
 
 def _record(cycle: int, values: Sequence[float]) -> CheckpointRecord:
-    report = stats.analyze(values)
-    return CheckpointRecord(
-        cycle=cycle,
-        digit_pct=report.proportions_pct,
-        ssd=report.ssd,
-        q10=report.q10,
-        q90=report.q90,
-        qtm=report.qtm,
-    )
+    r = stats.analyze(values)
+    return CheckpointRecord(cycle, r.proportions_pct, r.ssd, r.q10, r.q90, r.qtm)
 
 
 _GRADUAL_A_CHECKPOINTS = (
@@ -109,40 +109,14 @@ _GRADUAL_A_CHECKPOINTS = (
 _SMALL_100_CHECKPOINTS = (0, 50, 100, 150, 200, 250, 300, 350, 800, 2000, 5000, 9000)
 
 _PRESETS: Mapping[str, dict] = {
-    "A": dict(
-        ball_count=2000,
-        initial_value=1.0,
-        cycles=8000,
-        ratio=None,
-        checkpoints=(8000,),
-    ),
-    "B": dict(
-        ball_count=1500,
-        initial_value=1.0,
-        cycles=10000,
-        ratio=0.5,
-        checkpoints=(10000,),
-    ),
-    "C": dict(
-        ball_count=1000,
-        initial_value=1.0,
-        cycles=3000,
-        ratio=0.85,
-        checkpoints=(3000,),
-    ),
+    "A": dict(ball_count=2000, initial_value=1.0, cycles=8000, ratio=None, checkpoints=(8000,)),
+    "B": dict(ball_count=1500, initial_value=1.0, cycles=10000, ratio=0.5, checkpoints=(10000,)),
+    "C": dict(ball_count=1000, initial_value=1.0, cycles=3000, ratio=0.85, checkpoints=(3000,)),
     "Gradual_A": dict(
-        ball_count=2000,
-        initial_value=1.0,
-        cycles=13000,
-        ratio=None,
-        checkpoints=_GRADUAL_A_CHECKPOINTS,
+        ball_count=2000, initial_value=1.0, cycles=13000, ratio=None, checkpoints=_GRADUAL_A_CHECKPOINTS
     ),
     "Small_100": dict(
-        ball_count=100,
-        initial_value=1.0,
-        cycles=9000,
-        ratio=None,
-        checkpoints=_SMALL_100_CHECKPOINTS,
+        ball_count=100, initial_value=1.0, cycles=9000, ratio=None, checkpoints=_SMALL_100_CHECKPOINTS
     ),
 }
 
@@ -183,6 +157,8 @@ def earthquake_fixture() -> tuple[float, ...]:
     as a demonstration dataset: even at 40 values its first digits lean
     heavily toward 1 and 2.
     """
+    from importlib import resources
+
     text = resources.files(__package__).joinpath("data", _FIXTURE_FILE).read_text()
     return tuple(float(line) for line in text.splitlines() if line.strip())
 
@@ -204,7 +180,9 @@ def render_table(records: Sequence[CheckpointRecord], format: str = "csv") -> st
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
     if format == "json":
-        return json.dumps([asdict(r) for r in records], indent=2) + "\n"
+        import json
+
+        return json.dumps([r._asdict() for r in records], indent=2) + "\n"
     raise ConfigError(f"unknown table format {format!r}; use 'csv' or 'json'")
 
 

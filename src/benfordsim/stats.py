@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .digits import boundary_table
 from .errors import DomainError, EmptyDataError
@@ -34,8 +33,7 @@ __all__ = [
 BENFORD_PCT: tuple[float, ...] = tuple(100.0 * math.log10(1.0 + 1.0 / d) for d in range(1, 10))
 
 
-@dataclass(frozen=True)
-class BenfordReport:
+class BenfordReport(NamedTuple):
     """One snapshot of digit counts, proportions and dispersion measures for a dataset."""
 
     proportions_pct: tuple[float, ...]

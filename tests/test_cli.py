@@ -185,6 +185,21 @@ def test_histogram_file_matches_golden_digest(capsys, tmp_path, preset, width):
     assert hashlib.sha256(hist.read_bytes()).hexdigest() == GOLDEN_HIST_DIGESTS[preset, width]
 
 
+# sha256 of the --emit-values file of `run --preset P --seed 1`.
+GOLDEN_VALUES_DIGESTS = {
+    "Gradual_A": "6b322d454710d34d1eeba0f9691bb35b1db4e0d2747ba3392e34d6fcbd0744c1",
+    "Small_100": "d71d115fe73ad2404d465a237d3ba1f05b9ea28114a6dee54f397f0189008b6a",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_VALUES_DIGESTS))
+def test_values_file_matches_golden_digest(capsys, tmp_path, preset):
+    values = tmp_path / "values.txt"
+    code, _, _ = run_cli(capsys, "run", "--preset", preset, "--seed", "1", "--emit-values", str(values))
+    assert code == 0
+    assert hashlib.sha256(values.read_bytes()).hexdigest() == GOLDEN_VALUES_DIGESTS[preset]
+
+
 def test_run_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
     cfg = tmp_path / "bom.cfg"
     cfg.write_text(
@@ -338,6 +353,44 @@ def test_output_path_that_is_a_directory_exits_2_before_running(capsys, tmp_path
     assert out == ""
     assert list(tmp_path.iterdir()) == [taken]
     assert list(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, clash",
+    [
+        ("run --preset C --seed 1 --out {tmp}/t.csv --emit-values {tmp}/t.csv",
+         "--emit-values names the same file as --out"),
+        ("run --preset C --seed 1 --out {tmp}/t.csv --emit-hist {tmp}/./t.csv",
+         "--emit-hist names the same file as --out"),
+        ("run --preset C --seed 1 --emit-values {tmp}/v.txt --emit-hist {tmp}/link.txt",
+         "--emit-hist names the same file as --emit-values"),
+        ("run --config {tmp}/c.cfg --emit-values {tmp}/c.cfg", "--emit-values names the same file as --config"),
+        ("analyze {tmp}/d.csv --out {tmp}/d.csv", "--out names the same file as the input"),
+    ],
+    ids=["values-out", "hist-out-dotted", "hist-values-symlink", "values-config", "analyze-out-input"],
+)
+def test_output_naming_another_output_or_the_input_exits_2_before_running(
+    capsys, tmp_path, command, clash
+):
+    # Writing both would lose one of them, or replace the input with its own report.
+    (tmp_path / "d.csv").write_text("1.5\n2.5\n3.5\n")
+    (tmp_path / "c.cfg").write_text("ball_count = 10\ninitial_value = 1\ncycles = 30\npolicy = uniform\nseed = 4\n")
+    (tmp_path / "link.txt").symlink_to(tmp_path / "v.txt")
+    def files():
+        return sorted((p.name, p.read_bytes() if p.exists() else None) for p in tmp_path.iterdir())
+
+    before = files()
+    code, out, err = run_cli(capsys, *command.format(tmp=tmp_path).split())
+    assert code == 2
+    assert clash in err
+    assert "seed:" not in err
+    assert out == ""
+    assert files() == before
+
+
+def test_a_device_file_may_take_several_outputs(capsys):
+    argv = "run --preset C --seed 1 --out /dev/null --emit-values /dev/null --emit-hist /dev/null"
+    assert run_cli(capsys, *argv.split()) == (0, "", "seed: 1\n")
 
 
 class HalfWriter:

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import benfordsim
 from benfordsim import (
     BENFORD_PCT,
     DomainError,
@@ -135,6 +137,19 @@ def test_import_builds_no_table_and_loads_no_decimal():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "0"]
+
+
+def test_import_loads_no_dataclasses_json_or_resources():
+    # -S keeps site's .pth files from preloading modules; each of these costs
+    # milliseconds of every run, so only the code that needs one imports it.
+    src = str(Path(benfordsim.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import benfordsim; "
+        "print([m for m in ('dataclasses', 'inspect', 'json', 'importlib.resources') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_oracle_agreement_on_log_uniform_sample():

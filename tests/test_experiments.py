@@ -124,6 +124,41 @@ def test_config_accepts_the_seed_range_ends():
         assert ExperimentConfig(5, 1.0, 10, None, seed=seed, checkpoints=(10,)).seed == seed
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda c: ExperimentConfig._make([0, 1.0, 10, None, 1, (10,)]),
+         "ball_count must be a positive integer, got 0"),
+        (lambda c: c._replace(seed=-5), "seed must be an integer in [0, 2**64), got -5"),
+        (lambda c: c._replace(ratio=1.5), "fixed split ratio must be in (0, 1), got 1.5"),
+        (lambda c: c._replace(ball_count=0), "ball_count must be a positive integer, got 0"),
+    ],
+    ids=["make", "replace-seed", "replace-ratio", "replace-ball_count"],
+)
+def test_every_way_to_build_a_config_validates_it(build, message):
+    # A named tuple's _replace builds through _make, which skips __new__ unless overridden.
+    with pytest.raises(ConfigError) as exc:
+        build(scheme_preset("C", 1))
+    assert str(exc.value) == message
+
+
+def test_configs_records_and_reports_are_immutable():
+    config = ExperimentConfig(5, 1.0, 10, None, seed=1, checkpoints=(10,))
+    _, (record,) = run_experiment(config)
+    for obj, field in ((config, "seed"), (record, "ssd"), (analyze([1.0, 2.0]), "qtm")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 3)
+        with pytest.raises(AttributeError):
+            obj.extra = 3
+
+
+def test_config_repr_names_every_field():
+    assert repr(scheme_preset("C", 1)) == (
+        "ExperimentConfig(ball_count=1000, initial_value=1.0, cycles=3000, ratio=0.85, "
+        "seed=1, checkpoints=(3000,))"
+    )
+
+
 # --- run_experiment ----------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import stats
-from .errors import BenfordSimError, ConfigError, MissingSeedError
+from .errors import BenfordSimError, ConfigError, DomainError, MissingSeedError
 from .experiments import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -22,15 +22,18 @@ from .experiments import (
     scheme_preset,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_RUNTIME = 1
 _EXIT_CONFIG = 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the command line; ``main`` keeps one of its own."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built on the first call of ``main`` and
+    kept: argparse parses each call into a new namespace, so a parse leaves
+    no state in it."""
     parser = argparse.ArgumentParser(
         prog="benfordsim",
         description=(
@@ -72,12 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built on the first call of main and kept: a parse leaves no state in it.
-_main_parser = functools.cache(build_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _main_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:
@@ -91,10 +90,10 @@ def main(argv: list[str] | None = None) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     width = args.hist_bin_width
     if args.emit_hist:
-        if not 0.0 < width < math.inf:
-            raise ConfigError(f"--hist-bin-width must be a positive finite number, got {width!r}")
-        if stats._bin_width_is_tiny(width):
-            raise ConfigError(f"--hist-bin-width {width!r} is too small: {stats._TINY_BIN_WIDTH_WHY}")
+        try:
+            stats._check_bin_width(width, "--hist-bin-width")
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
     outputs = {"--out": args.out, "--emit-values": args.emit_values, "--emit-hist": args.emit_hist}
     _check_output_paths(outputs, "--config", args.config)
     config = _resolve_config(args)

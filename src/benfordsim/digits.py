@@ -1,4 +1,4 @@
-"""First-significant-digit extraction.
+"""First-significant-digit extraction and tallies.
 
 The first significant digit of a number is the leftmost nonzero digit of its
 decimal magnitude: 613 -> 6, 0.0002867 -> 2, -62.97 -> 6. Benford's Law says
@@ -7,17 +7,19 @@ log10(1 + 1/d), so 1 leads about 30.1% of the time and 9 only 4.6%;
 ``stats.BENFORD_PCT`` holds that reference in percent.
 
 Digits are looked up, not estimated: a positive number at or above d * 10**k
-and below the next such boundary has digit d. The boundaries of the double
-range form one sorted table, built exactly on first use, so every digit is
-exact by construction.
+and below the next such boundary has digit d. The nine boundaries of each
+decade are built exactly on first use and cached, so a dataset builds only
+the decades it spans and every digit is exact by construction. No other
+module reads the boundaries.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -27,34 +29,38 @@ _LARGEST = sys.float_info.max
 
 
 @cache
-def boundary_table() -> tuple[tuple[float | int, ...], tuple[int, ...]]:
-    """The digit boundaries d * 10**k of the double range, ascending, and their digits d.
+def _decade(k: int) -> tuple[float | int, ...]:
+    """The digit boundaries d * 10**k of decade ``k``, for d = 1..9.
 
     For k >= 0 an entry is d * 10**k itself: a float where one equals it (the
-    cheaper compare), else the int, which Python compares exactly with floats. For k < 0 it is the
-    smallest double above d * 10**k. Either way a float or int x is at or above
-    the entry exactly when x >= d * 10**k. Subnormal boundaries can share one
-    double; ``bisect_right`` then lands after the last, largest d. Built on the
-    first lookup (a few ms), never at import.
+    cheaper compare), else the int, which Python compares exactly with floats.
+    For k < 0 it is the smallest double at or above d * 10**k. Either way a
+    float or int x is at or above the entry exactly when x >= d * 10**k.
+    Subnormal boundaries can share one double; ``bisect_right`` then lands
+    after the last, largest d.
     """
     bounds: list[float | int] = []
-    digits: list[int] = []
-    for k in range(-324, 309):
-        for d in range(1, 10):
-            if k >= 0:
-                b = d * 10**k
-                if b > _LARGEST:
-                    break
-                if float(b) == b:
-                    b = float(b)
-            else:
-                b = float(f"{d}e{k}")  # the nearest double, which may lie below
-                num, den = b.as_integer_ratio()
-                if num * 10**-k < d * den:
-                    b = math.nextafter(b, math.inf)
-            bounds.append(b)
-            digits.append(d)
-    return tuple(bounds), tuple(digits)
+    for d in range(1, 10):
+        if k >= 0:
+            b = d * 10**k
+            if b <= _LARGEST and float(b) == b:
+                b = float(b)
+        else:
+            b = float(f"{d}e{k}")  # the nearest double, which may lie below
+            num, den = b.as_integer_ratio()
+            if num * 10**-k < d * den:
+                b = math.nextafter(b, math.inf)
+        bounds.append(b)
+    return tuple(bounds)
+
+
+def _decade_of(m: float) -> int:
+    """The k with 10**k <= m < 10**(k + 1), for 0 < m <= the largest double.
+    log10 only estimates it: near a power of ten it may be one off either way."""
+    k = math.floor(math.log10(m))
+    if m < _decade(k)[0]:
+        return k - 1
+    return k + 1 if m >= _decade(k + 1)[0] else k
 
 
 def first_significant_digit(x: float) -> int:
@@ -71,5 +77,23 @@ def first_significant_digit(x: float) -> int:
         if m == math.inf or m != m:
             raise DomainError(f"{x!r} has no first significant digit")
         raise DomainError("magnitudes beyond the largest double have no first significant digit")
-    bounds, digits = boundary_table()
-    return digits[bisect_right(bounds, m) - 1]
+    return bisect_right(_decade(_decade_of(m)), m)
+
+
+def tally_digits(xs: Sequence[float]) -> tuple[int, ...]:
+    """Counts of the first digits 1..9 over non-empty, ascending, positive ``xs``.
+
+    No value may exceed the largest double. Values from one digit boundary up
+    to the next share its digit, so each boundary of the decades [min, max]
+    spans is bisected into ``xs`` once and no value is looked up on its own.
+    """
+    counts = [0] * 9
+    start = 0
+    for k in range(_decade_of(xs[0]), _decade_of(xs[-1]) + 1):
+        for d, b in enumerate(_decade(k), 1):
+            end = bisect_left(xs, b, start)
+            # just below d * 10**k: digit d - 1, or 9 (index -1) below d = 1
+            counts[d - 2] += end - start
+            start = end
+    counts[8] += len(xs) - start  # from 9 * 10**k of the last decade up
+    return tuple(counts)

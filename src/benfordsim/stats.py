@@ -5,19 +5,18 @@ sum of squared deviations of first-digit percentages from the Benford
 percentages (SSD), quantiles with linear interpolation, and base-10 log
 histograms as (bin index, count) pairs. ``analyze`` builds its report around
 one sort per dataset: the sorted values give the 90th/10th percentile ratio
-(QTM), the classical log10(max/min) order of magnitude (OOM) and, by
-bisecting each digit boundary of the ``digits`` table into them, the
-first-digit counts.
+(QTM), the classical log10(max/min) order of magnitude (OOM) and, through
+``digits.tally_digits``, which bisects the digit boundaries of the decades
+they span into them, the first-digit counts.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
-from .digits import boundary_table
+from .digits import tally_digits
 from .errors import DomainError, EmptyDataError
 
 __all__ = [
@@ -44,27 +43,6 @@ class BenfordReport(NamedTuple):
     oom: float
     n: int
     counts: tuple[int, ...]
-
-
-def tally_digits(xs: Sequence[float]) -> tuple[int, ...]:
-    """Counts of the first digits 1..9 over non-empty, ascending, positive ``xs``.
-
-    No value may exceed the largest double. Values from one digit boundary up
-    to the next share its digit, so each boundary inside [min, max] is
-    bisected into ``xs`` once (about nine per decade of span) and no value is
-    looked up on its own.
-    """
-    bounds, digits = boundary_table()
-    counts = [0] * 9
-    first = bisect_right(bounds, xs[0])
-    last = bisect_right(bounds, xs[-1])
-    start = 0
-    for j in range(first, last):
-        end = bisect_left(xs, bounds[j], start)
-        counts[digits[j - 1] - 1] += end - start
-        start = end
-    counts[digits[last - 1] - 1] += len(xs) - start
-    return tuple(counts)
 
 
 def ssd(observed_pct: Sequence[float]) -> float:
@@ -96,14 +74,14 @@ def _quantile_sorted(xs: Sequence[float], q: float) -> float:
 _MAX_ABS_LOG10 = -math.log10(5e-324)
 
 
-#: Why a positive finite width that ``_bin_width_is_tiny`` flags is refused.
-_TINY_BIN_WIDTH_WHY = "log10 of the smallest double / width overflows"
-
-
-def _bin_width_is_tiny(bin_width: float) -> bool:
-    """Whether a positive finite ``bin_width`` leaves some positive double
-    without a finite bin index; widths below ~1.8e-306 do."""
-    return not math.isfinite(_MAX_ABS_LOG10 / bin_width)
+def _check_bin_width(width: float, name: str = "bin width") -> None:
+    """Raise ``DomainError`` unless ``width``, named ``name`` in the message,
+    gives every positive double a finite bin index; widths that are not
+    positive and finite, or below ~1.8e-306, do not."""
+    if not 0.0 < width < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {width!r}")
+    if not math.isfinite(_MAX_ABS_LOG10 / width):
+        raise DomainError(f"{name} {width!r} is too small: log10 of the smallest double / width overflows")
 
 
 def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, int]]:
@@ -113,10 +91,7 @@ def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, 
     [index * bin_width, (index + 1) * bin_width) in log10 units. Returns the
     (bin index, count) pairs of the occupied bins, in index order.
     """
-    if not 0.0 < bin_width < math.inf:
-        raise DomainError(f"bin width must be positive and finite, got {bin_width!r}")
-    if _bin_width_is_tiny(bin_width):
-        raise DomainError(f"bin width {bin_width!r} is too small: {_TINY_BIN_WIDTH_WHY}")
+    _check_bin_width(bin_width)
     counts: dict[int, int] = {}
     for i, x in enumerate(values):
         if not 0.0 < x <= sys.float_info.max:

@@ -297,3 +297,15 @@ def test_criterion_14_log_span(scheme_a_runs):
         ok,
         f"median span={median(spans):.2f}",
     )
+
+
+def test_scheme_b_halves_leave_duplicate_values():
+    # w * 0.5 gives two equal halves, and equal balls share their digit, so a
+    # ratio of 0.5 leaves a smaller effective sample than L; a uniform ratio
+    # leaves every value distinct.
+    ball_count = 1_000
+    for seed in (1505, 5235):
+        halved = run([1.0] * ball_count, 0.5, random.Random(seed), 20 * ball_count)
+        uniform = run([1.0] * ball_count, None, random.Random(seed), 20 * ball_count)
+        assert len(set(halved)) < 0.9 * ball_count, seed
+        assert len(set(uniform)) == ball_count, seed

@@ -233,6 +233,15 @@ def test_run_unknown_preset_exits_2(capsys):
     assert "preset" in err
 
 
+def test_run_preset_names_ignore_case(capsys):
+    run = ["run", "--seed", "1", "--preset"]
+    for given, known in (("c", "C"), ("small_100", "Small_100")):
+        assert run_cli(capsys, *run, given) == run_cli(capsys, *run, known)
+    known_list = "A, B, C, Gradual_A, Small_100"
+    error = f"error: unknown preset 'small-100'; known presets: {known_list}\n"
+    assert run_cli(capsys, *run, "small-100") == (2, "", error)
+
+
 def test_run_invalid_config_contents_exits_2(capsys, tmp_path):
     base = "initial_value = 1\ncycles = 10\npolicy = uniform\n"
     cases = [

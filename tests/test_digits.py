@@ -15,7 +15,10 @@ from benfordsim import (
     DomainError,
     analyze,
     first_significant_digit,
+    run_experiment,
+    scheme_preset,
 )
+from benfordsim import digits
 
 # Figure-of-record rounded percentages for digits 1..9.
 ROUNDED_PCT = (30.1, 17.6, 12.5, 9.7, 7.9, 6.7, 5.8, 5.1, 4.6)
@@ -129,14 +132,42 @@ def test_analyze_counts_every_digit_boundary_neighbour_exactly():
     assert analyze(values).counts == tuple(expected[d] for d in range(1, 10))
 
 
+@pytest.mark.parametrize("miss", [-1, 1])
+def test_digits_stay_exact_when_log10_misses_the_decade(monkeypatch, miss):
+    # log10 only picks the decade to consult; a libm whose log10 lands one
+    # decade off, either way, must change no digit and no tally.
+    values = boundary_neighbours()[::7]
+    monkeypatch.setattr(digits.math, "log10", lambda x: Decimal(x).adjusted() + miss + 0.5)
+    digits._decade.cache_clear()
+    assert [first_significant_digit(x) for x in values] == [decimal_digit(x) for x in values]
+    for x in values[::5]:
+        counts = [0] * 9
+        counts[decimal_digit(x) - 1] = 2
+        assert digits.tally_digits([x, x]) == tuple(counts)
+    expected = Counter(decimal_digit(x) for x in values)
+    assert digits.tally_digits(values) == tuple(expected[d] for d in range(1, 10))
+
+
 def test_import_builds_no_table_and_loads_no_decimal():
-    # The table costs milliseconds, so it waits for the first digit lookup.
+    # Each decade's boundaries wait for the first digit lookup that needs them.
     code = (
         "import sys, benfordsim; from benfordsim import digits; "
-        "print('decimal' in sys.modules, digits.boundary_table.cache_info().currsize)"
+        "print('decimal' in sys.modules, digits._decade.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "0"]
+
+
+def test_analysis_builds_only_the_decades_the_data_span():
+    # All 633 decades of the double range cost milliseconds; a preset's
+    # final values span about ten.
+    values, _ = run_experiment(scheme_preset("Small_100", 1))
+    spanned = math.floor(math.log10(max(values))) - math.floor(math.log10(min(values))) + 1
+    assert spanned < 20
+    digits._decade.cache_clear()
+    analyze(values)
+    first_significant_digit(values[0])
+    assert 0 < digits._decade.cache_info().currsize <= spanned + 2
 
 
 def test_import_loads_no_dataclasses_json_or_resources():

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 from pathlib import Path
 
@@ -111,19 +112,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.preset is not None:
         seed = args.seed if args.seed is not None else _generate_seed()
-        return scheme_preset(_canonical_preset(args.preset), seed)
+        return scheme_preset(args.preset, seed)
     text = _read_input(args.config)
     try:
         return parse_config(text, seed=args.seed, source=args.config)
     except MissingSeedError:
         return parse_config(text, seed=_generate_seed(), source=args.config)
-
-
-def _canonical_preset(name: str) -> str:
-    for known in PRESET_NAMES:
-        if name.lower() == known.lower():
-            return known
-    return name  # let scheme_preset produce the error
 
 
 def _generate_seed() -> int:
@@ -170,8 +164,9 @@ def _write_output(path: str, text: str) -> None:
     A regular or new file is written to a temp file in its own directory,
     which is then renamed over it, so a failed write leaves neither a partial
     file nor the temp file. The temp file is opened like ``Path.write_text``
-    opens a file, so the result has the same mode. A path that exists and is
-    not a regular file, such as /dev/null or a pipe, is written in place.
+    opens a file, so a new file has the same mode, and it takes the permission
+    bits of a file it replaces. A path that exists and is not a regular file,
+    such as /dev/null or a pipe, is written in place.
     """
     target = Path(os.path.realpath(path))
     if target.exists() and not target.is_file():
@@ -181,6 +176,8 @@ def _write_output(path: str, text: str) -> None:
     f = open(tmp, "x")
     try:
         with f:
+            if target.exists():
+                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
             f.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -261,28 +258,24 @@ def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
     values: list[float] = []
     bad: list[tuple[int, str, str]] = []
     first_data_line = True
-    inf = math.inf
     for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
         try:
-            x = float(raw)  # float() ignores surrounding whitespace itself
+            x = float(line)
         except ValueError:
-            line = raw.strip()
-            if not line:
+            if first_data_line:
+                first_data_line = False
                 continue
-            try:
-                x = float(line)  # str.strip() also drops "\x1f", float() does not
-            except ValueError:
-                if first_data_line:
-                    first_data_line = False
-                    continue
-                bad.append((lineno, line, "not a number"))
-                continue
+            bad.append((lineno, line, "not a number"))
+            continue
         first_data_line = False
-        if 0.0 < x < inf:
+        if 0.0 < x < math.inf:
             values.append(x)
         else:
-            why = "not strictly positive" if -inf < x <= 0.0 else "not finite"
-            bad.append((lineno, raw.strip(), why))
+            why = "not strictly positive" if -math.inf < x <= 0.0 else "not finite"
+            bad.append((lineno, line, why))
     return values, bad
 
 

@@ -48,7 +48,8 @@ class ExperimentConfig(_ConfigFields):
     """One fully pinned run; the seed is mandatory so every run is replayable.
 
     ``ratio`` is None for a fresh Uniform(0, 1) split ratio each cycle, or a
-    fixed float in (0, 1). ``seed`` is an integer in [0, 2**64). Integer
+    fixed float in (0, 1). ``seed`` is an integer in [0, 2**64). The total,
+    ball_count * initial_value, must not exceed the largest double. Integer
     fields reject ``bool``. This is the one place a run is validated;
     ``process.run`` trusts it: every way to build a config, ``_make`` and
     ``_replace`` included, goes through these checks.
@@ -64,6 +65,9 @@ class ExperimentConfig(_ConfigFields):
         v = self.initial_value
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v <= sys.float_info.max:
             raise ConfigError(f"initial_value must be strictly positive, got {v!r}")
+        n, d = v.as_integer_ratio()  # exact: ball_count is never turned into a float
+        if self.ball_count * n > int(sys.float_info.max) * d:
+            raise ConfigError("ball_count * initial_value must not exceed the largest double")
         if type(self.cycles) is not int or self.cycles < 0:
             raise ConfigError(f"cycles must be a non-negative integer, got {self.cycles!r}")
         if self.ratio is not None and not (isinstance(self.ratio, float) and 0.0 < self.ratio < 1.0):
@@ -124,14 +128,12 @@ PRESET_NAMES: tuple[str, ...] = tuple(_PRESETS)
 
 
 def scheme_preset(name: str, seed: int) -> ExperimentConfig:
-    """Build the named preset; the caller supplies the seed."""
-    try:
-        params = _PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}"
-        ) from None
-    return ExperimentConfig(seed=seed, **params)
+    """Build the named preset, whose name is matched without regard to case;
+    the caller supplies the seed."""
+    for known, params in _PRESETS.items():
+        if known.lower() == str(name).lower():
+            return ExperimentConfig(seed=seed, **params)
+    raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[float], list[CheckpointRecord]]:
@@ -221,9 +223,9 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
         if key not in entries:
             raise ConfigError(f"{source}: missing required key {key!r}")
 
-    ball_count = _parse_int(entries, "ball_count", source)
-    initial_value = _parse_float(entries, "initial_value", source)
-    cycles = _parse_int(entries, "cycles", source)
+    ball_count = _parse_number(entries, "ball_count", source)
+    initial_value = _parse_number(entries, "initial_value", source, float)
+    cycles = _parse_number(entries, "cycles", source)
 
     policy_name = entries["policy"]
     if policy_name == "uniform":
@@ -233,7 +235,7 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
     elif policy_name == "fixed":
         if "ratio" not in entries:
             raise ConfigError(f"{source}: policy = fixed requires a 'ratio' key")
-        ratio = _parse_float(entries, "ratio", source)
+        ratio = _parse_number(entries, "ratio", source, float)
     else:
         raise ConfigError(f"{source}: policy must be 'uniform' or 'fixed', got {policy_name!r}")
 
@@ -242,7 +244,7 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
             raise MissingSeedError(
                 f"{source}: missing required key 'seed' (or pass one explicitly)"
             )
-        seed = _parse_int(entries, "seed", source)
+        seed = _parse_number(entries, "seed", source)
 
     if "checkpoints" in entries:
         try:
@@ -265,15 +267,9 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
     )
 
 
-def _parse_int(entries: Mapping[str, str], key: str, source: str) -> int:
+def _parse_number(entries: Mapping[str, str], key: str, source: str, kind: type = int) -> int | float:
     try:
-        return int(entries[key])
+        return kind(entries[key])
     except ValueError:
-        raise ConfigError(f"{source}: {key} must be an integer, got {entries[key]!r}") from None
-
-
-def _parse_float(entries: Mapping[str, str], key: str, source: str) -> float:
-    try:
-        return float(entries[key])
-    except ValueError:
-        raise ConfigError(f"{source}: {key} must be a number, got {entries[key]!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{source}: {key} must be {what}, got {entries[key]!r}") from None

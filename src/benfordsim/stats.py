@@ -89,32 +89,28 @@ def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, 
 
     A value x lands in bin floor(log10(x) / bin_width), which spans
     [index * bin_width, (index + 1) * bin_width) in log10 units. Returns the
-    (bin index, count) pairs of the occupied bins, in index order.
+    (bin index, count) pairs of the occupied bins, in index order. A bad
+    value raises ``DomainError`` as in ``analyze``.
     """
     _check_bin_width(bin_width)
     counts: dict[int, int] = {}
-    for i, x in enumerate(values):
+    for x in values:
         if not 0.0 < x <= sys.float_info.max:
-            raise DomainError(f"value at index {i} is not strictly positive: {_shown(x)}")
+            raise _first_bad_value(values)
         b = math.floor(math.log10(x) / bin_width)
         counts[b] = counts.get(b, 0) + 1
     return sorted(counts.items())
 
 
-def _shown(x: float) -> str:
-    """``x`` as an error message shows it: its repr, except for a finite
-    magnitude beyond the largest double (a huge int), whose repr may be too
-    long to build."""
-    if abs(x) > sys.float_info.max and abs(x) != math.inf:
-        return "a magnitude beyond the largest double"
-    return repr(x)
-
-
 def _first_bad_value(values: Sequence[float]) -> DomainError:
-    """The error for the first zero, inf, NaN or out-of-range value, else the first negative."""
+    """The error for the first zero, inf, NaN or out-of-range value, else the
+    first negative. A finite magnitude beyond the largest double (a huge int)
+    is not shown, as its repr may be too long to build."""
     for i, x in enumerate(values):
         if not 0.0 < abs(x) <= sys.float_info.max:
-            return DomainError(f"value at index {i} has no first significant digit: {_shown(x)}")
+            huge = math.inf > abs(x) > sys.float_info.max
+            shown = "a magnitude beyond the largest double" if huge else repr(x)
+            return DomainError(f"value at index {i} has no first significant digit: {shown}")
     i = next(i for i, x in enumerate(values) if x < 0.0)
     return DomainError(f"value at index {i} is not strictly positive: {values[i]!r}")
 

@@ -309,3 +309,28 @@ def test_scheme_b_halves_leave_duplicate_values():
         uniform = run([1.0] * ball_count, None, random.Random(seed), 20 * ball_count)
         assert len(set(halved)) < 0.9 * ball_count, seed
         assert len(set(uniform)) == ball_count, seed
+
+
+# --- the sampling-noise floor ---------------------------------------------------
+
+# L exact Benford draws have an expected SSD of K / L, with K from the Benford
+# percentages alone (8,345.47); SSD * L / K reads 1 at that floor.
+NOISE_K = 1e4 * (1.0 - sum((p / 100.0) ** 2 for p in BENFORD_PCT))
+NOISE_SEEDS = range(1505, 1525)
+
+
+def mean_ssd_over_floor(ball_count, cycles):
+    """Mean SSD * L / K over NOISE_SEEDS after ``cycles`` uniform-ratio cycles from V = 1."""
+    ssds = [analyze(run([1.0] * ball_count, None, random.Random(s), cycles)).ssd for s in NOISE_SEEDS]
+    return statistics.fmean(ssds) * ball_count / NOISE_K
+
+
+def test_noise_floor_is_not_reached_at_one_cycle_per_ball():
+    assert NOISE_K == pytest.approx(8345.47, abs=0.005)
+    ratio = mean_ssd_over_floor(2_000, 2_000)
+    criterion(15, "L=2000, C=L: mean SSD * L / K above 2", ratio > 2.0, f"{ratio:.2f}")
+
+
+def test_noise_floor_is_reached_past_two_cycles_per_ball():
+    ratio = mean_ssd_over_floor(500, 2_000)
+    criterion(16, "L=500, C=4L: mean SSD * L / K within [0.6, 1.6]", 0.6 <= ratio <= 1.6, f"{ratio:.2f}")

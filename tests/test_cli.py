@@ -260,6 +260,21 @@ def test_run_invalid_config_contents_exits_2(capsys, tmp_path):
         assert out == "", text
 
 
+def test_run_whose_total_overflows_exits_2_before_any_output(capsys, tmp_path):
+    # Two balls of 1e308 would merge into inf, so the config is refused
+    # before the seed line, and no output file is started.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        "ball_count = 2\ninitial_value = 1e308\ncycles = 50\n"
+        "policy = uniform\nseed = 1\ncheckpoints = 0\n"
+    )
+    outputs = ["--out", "t.csv", "--emit-values", "v.txt", "--emit-hist", "h.csv"]
+    outputs[1::2] = [str(tmp_path / name) for name in outputs[1::2]]
+    error = "error: ball_count * initial_value must not exceed the largest double\n"
+    assert run_cli(capsys, "run", "--config", str(cfg), *outputs) == (2, "", error)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
+
+
 @pytest.mark.parametrize("seed", ["-5", str(2**64)])
 def test_run_seed_outside_64_bits_exits_2(capsys, seed):
     code, out, err = run_cli(capsys, "run", "--preset", "Small_100", "--seed", seed)
@@ -472,6 +487,26 @@ def test_outputs_keep_the_file_mode_links_and_pipes(capsys, tmp_path):
     ]
 
 
+def test_overwritten_outputs_keep_their_permission_bits(capsys, tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("old\n")
+    table.chmod(0o600)
+    real = tmp_path / "values.txt"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    code, _, _ = run_cli(
+        capsys, "run", "--preset", "Small_100", "--seed", "1",
+        "--out", str(table), "--emit-values", str(link),
+    )
+    assert code == 0
+    assert table.read_text().startswith(CSV_HEADER)
+    assert len(real.read_text().splitlines()) == 100
+    assert stat.S_IMODE(table.stat().st_mode) == 0o600
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+
 # --- analyze -----------------------------------------------------------------
 
 
@@ -502,6 +537,16 @@ def test_parse_dataset_reports_every_kind_of_line_exactly():
             (11, "1e-400", "not strictly positive"),
         ],
     )
+
+
+def test_parse_dataset_strips_every_kind_of_padding():
+    # float alone rejects "\x1c".."\x1f" around a number; str.strip drops them,
+    # NEL and the ideographic space ("\x1c".."\x1e" and NEL also end a line
+    # for str.splitlines). A line of "\x1f" only is blank.
+    pads = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"]
+    lines = ["value"] + [f"{pad}{k + 1}.5{pad}" for k, pad in enumerate(pads)] + ["\x1f\x1f", "8"]
+    assert _parse_dataset("\n".join(lines)) == ([1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 8.0], [])
+    assert _parse_dataset("\x1f-8\u3000\n\x1f\n") == ([], [(1, "-8", "not strictly positive")])
 
 
 def test_analyze_tallies_each_value_once(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -54,6 +56,29 @@ def test_unknown_preset():
     with pytest.raises(ConfigError):
         scheme_preset("D", seed=1)
     assert set(PRESET_NAMES) == {"A", "B", "C", "Gradual_A", "Small_100"}
+
+
+def test_preset_names_ignore_case():
+    assert scheme_preset("c", 1) == scheme_preset("C", 1)
+    assert scheme_preset("small_100", 1) == scheme_preset("Small_100", 1)
+    known = "known presets: A, B, C, Gradual_A, Small_100"
+    for name in ("small-100", None):
+        with pytest.raises(ConfigError) as exc:
+            scheme_preset(name, 1)
+        assert str(exc.value) == f"unknown preset {name!r}; {known}"
+
+
+def test_config_rejects_a_total_beyond_the_largest_double():
+    # The values sum to ball_count * initial_value; past the largest double a
+    # merge of two balls could reach inf. A huge ball_count must not overflow
+    # a float conversion before the check.
+    largest = sys.float_info.max
+    for ball_count, value in ((2, 1e308), (2, math.nextafter(largest / 2, math.inf)), (10**400, 1.0)):
+        with pytest.raises(ConfigError, match="ball_count \\* initial_value must not exceed"):
+            ExperimentConfig(ball_count, value, 10, None, seed=1, checkpoints=())
+    for ball_count, value in ((1, largest), (2, largest / 2), (1000, 1e305)):
+        config = ExperimentConfig(ball_count, value, 10, None, seed=1, checkpoints=())
+        assert config.ball_count * config.initial_value <= largest
 
 
 def test_config_validation():
@@ -424,6 +449,7 @@ def config_text(**overrides):
         (dict(initial_value="lots"), "number"),
         (dict(lineage="maybe"), "lineage"),
         (dict(checkpoints="1; 2"), "checkpoints"),
+        (dict(policy="fixed", ratio="half"), "ratio must be a number, got 'half'"),
     ],
 )
 def test_parse_config_rejections(overrides, message):

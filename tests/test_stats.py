@@ -205,6 +205,20 @@ def test_log_histogram_rejects_non_positive():
             log_histogram([0.001, 1.0, 5e6], bin_width=bad_width)
 
 
+def test_log_histogram_rejects_a_bad_value_in_the_words_of_analyze():
+    # Both name the first zero, inf or NaN before any earlier negative, and
+    # inf is not called "not strictly positive".
+    with pytest.raises(DomainError) as exc:
+        log_histogram([1.0, math.inf], 0.5)
+    assert str(exc.value) == "value at index 1 has no first significant digit: inf"
+    for values in ([1.0, math.inf], [2.0, -5.0, 1.0, 0.0], [3.0, -1.0], [1.0, math.nan], [1.0, 10**400]):
+        with pytest.raises(DomainError) as from_histogram:
+            log_histogram(values, 0.5)
+        with pytest.raises(DomainError) as from_analyze:
+            analyze(values)
+        assert str(from_histogram.value) == str(from_analyze.value)
+
+
 def test_log_histogram_admits_exactly_the_widths_that_give_every_double_a_bin():
     # |log10 x| <= 323.31 for every positive double, so a width is admitted
     # when 323.31 / width is finite, whatever the data.

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import stats
-from .errors import BenfordSimError, ConfigError, DomainError, MissingSeedError
+from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError, MissingSeedError
 from .experiments import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -25,7 +25,6 @@ from .experiments import (
 
 __all__ = ["main"]
 
-_EXIT_OK = 0
 _EXIT_RUNTIME = 1
 _EXIT_CONFIG = 2
 
@@ -79,16 +78,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except BenfordSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
+    return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> None:
     width = args.hist_bin_width
     if args.emit_hist:
         try:
@@ -100,13 +100,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     print(f"seed: {config.seed}", file=sys.stderr)
     values, records = run_experiment(config)
-    _emit(render_table(records, args.format), args.out)
+    _write_output(args.out, render_table(records, args.format))
     if args.emit_values:
         _write_output(args.emit_values, "\n".join(map(repr, values)) + "\n")
     if args.emit_hist:
         bins = stats.log_histogram(values, width)
         _write_output(args.emit_hist, _render_histogram(bins, width))
-    return _EXIT_OK
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -122,13 +121,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _generate_seed() -> int:
     return random.SystemRandom().getrandbits(63)
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        _write_output(out_path, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _read_input(path: str) -> str:
@@ -158,8 +150,8 @@ def _check_output_paths(outputs: dict[str, str | None], input_name: str, input_p
         seen[real] = flag
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
+def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout if no path is given, whole or not at all.
 
     A regular or new file is written to a temp file in its own directory,
     which is then renamed over it, so a failed write leaves neither a partial
@@ -168,6 +160,9 @@ def _write_output(path: str, text: str) -> None:
     bits of a file it replaces. A path that exists and is not a regular file,
     such as /dev/null or a pipe, is written in place.
     """
+    if not path:
+        sys.stdout.write(text)
+        return
     target = Path(os.path.realpath(path))
     if target.exists() and not target.is_file():
         target.write_text(text)
@@ -194,7 +189,7 @@ def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     """Report the digit conformance of a dataset file, or explain why it has none.
 
     A regular file of plain numbers takes the fast path, ``_analyze_plain_numbers``.
@@ -205,21 +200,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _check_output_paths({"--out": args.out}, "the input", args.input)
     report = _analyze_plain_numbers(args.input) if Path(args.input).is_file() else None
     if report is None:
-        text = _read_input(args.input)  # OSError, ConfigError -> exit 2 in main()
-        values, bad_lines = _parse_dataset(text)
+        values, bad_lines = _parse_dataset(_read_input(args.input))
         if bad_lines:
-            shown = bad_lines[:20]
-            for lineno, line, why in shown:
-                print(f"error: line {lineno}: {why}: {line!r}", file=sys.stderr)
-            if len(bad_lines) > len(shown):
-                print(f"error: ... and {len(bad_lines) - len(shown)} more bad lines", file=sys.stderr)
-            return _EXIT_RUNTIME
+            shown = [f"line {lineno}: {why}: {line!r}" for lineno, line, why in bad_lines[:20]]
+            if len(bad_lines) > 20:
+                shown.append(f"... and {len(bad_lines) - 20} more bad lines")
+            raise DomainError("\nerror: ".join(shown))
         if not values:
-            print(f"error: {args.input}: no data values found", file=sys.stderr)
-            return _EXIT_RUNTIME
+            raise EmptyDataError(f"{args.input}: no data values found")
         report = stats.analyze(values)
-    _emit(_render_analysis(report, args.format), args.out)
-    return _EXIT_OK
+    _write_output(args.out, _render_analysis(report, args.format))
 
 
 def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
@@ -307,7 +297,7 @@ def _render_analysis(report: stats.BenfordReport, format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_presets(args: argparse.Namespace) -> int:
+def cmd_presets(args: argparse.Namespace) -> None:
     for name in PRESET_NAMES:
         config = scheme_preset(name, seed=0)
         policy = "uniform" if config.ratio is None else f"fixed ratio={config.ratio:g}"
@@ -315,7 +305,6 @@ def cmd_presets(args: argparse.Namespace) -> int:
             f"{name}: L={config.ball_count} C={config.cycles} {policy} "
             f"V={config.initial_value:g} checkpoints={','.join(map(str, config.checkpoints))}"
         )
-    return _EXIT_OK
 
 
 if __name__ == "__main__":

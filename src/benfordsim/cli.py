@@ -132,42 +132,53 @@ def _read_input(path: str) -> str:
 
 
 def _check_output_paths(outputs: dict[str, str | None], input_name: str, input_path: str | None) -> None:
-    """Refuse, before any work, an output path (keyed by its flag) that cannot be
-    written or that names the same file as another output or the input, which
-    writing it would destroy. An existing file that is not a regular one, such
-    as /dev/null, may be named more than once."""
+    """Refuse, before any work, an output path (keyed by its flag) that is empty,
+    that ``_write_output`` could not write, or that names the same file as
+    another output or the input, which writing it would destroy. A temp name is
+    made and removed beside a regular or new file's real path; a file written
+    in place, such as /dev/null, may be named more than once."""
     seen = {os.path.realpath(input_path): input_name} if input_path else {}
     for flag, path in outputs.items():
-        if not path:
+        if path is None:
             continue
-        if Path(path).is_dir():
-            raise ConfigError(f"cannot write {path}: it is a directory")
-        if not Path(path).parent.is_dir():
-            raise ConfigError(f"cannot write {path}: its directory does not exist")
+        if not path:
+            raise ConfigError(f"{flag} names an empty path")
         real = os.path.realpath(path)
-        if real in seen and (Path(real).is_file() or not Path(real).exists()):
+        if Path(real).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not Path(real).parent.is_dir():
+            raise ConfigError(f"cannot write {path}: its directory does not exist")
+        in_place = Path(path).exists() and not Path(path).is_file()
+        if real in seen and not in_place:
             raise ConfigError(f"cannot write {path}: {flag} names the same file as {seen[real]}")
         seen[real] = flag
+        if not in_place:
+            try:
+                probe = _temp_beside(Path(real))
+                os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+                os.unlink(probe)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_output(path: str | None, text: str) -> None:
-    """Write ``text`` to ``path``, or to stdout if no path is given, whole or not at all.
+    """Write ``text`` to ``path``, or to stdout if it is None, whole or not at all.
 
-    A regular or new file is written to a temp file in its own directory,
-    which is then renamed over it, so a failed write leaves neither a partial
-    file nor the temp file. The temp file is opened like ``Path.write_text``
-    opens a file, so a new file has the same mode, and it takes the permission
-    bits of a file it replaces. A path that exists and is not a regular file,
-    such as /dev/null or a pipe, is written in place.
+    A path that exists and is not a regular file, such as /dev/null or a pipe,
+    is written in place, as given: /dev/stdout into a pipe has no real path.
+    Any other goes to a temp file beside its real path, renamed over it, so a
+    failed write leaves neither a partial file nor the temp file. The temp file
+    is opened like ``Path.write_text`` opens a file, so a new file has the same
+    mode, and it takes the permission bits of a file it replaces.
     """
-    if not path:
+    if path is None:
         sys.stdout.write(text)
         return
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        target.write_text(text)
+    if Path(path).exists() and not Path(path).is_file():
+        Path(path).write_text(text)
         return
-    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    target = Path(os.path.realpath(path))
+    tmp = _temp_beside(target)
     f = open(tmp, "x")
     try:
         with f:
@@ -178,6 +189,10 @@ def _write_output(path: str | None, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _temp_beside(target: Path) -> Path:
+    return target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
 
 
 def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:

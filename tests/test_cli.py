@@ -260,6 +260,15 @@ def test_run_invalid_config_contents_exits_2(capsys, tmp_path):
         assert out == "", text
 
 
+def test_run_that_underflows_exits_1_after_the_seed_line_and_writes_nothing(capsys, tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("ball_count = 2\ninitial_value = 5e-324\ncycles = 5\npolicy = uniform\nseed = 1\n")
+    error = "error: splitting 5e-324 at ratio 0.5692038748222122 underflowed to zero\n"
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "t.csv"))
+    assert (code, out, err) == (1, "", "seed: 1\n" + error)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.cfg"]
+
+
 def test_run_whose_total_overflows_exits_2_before_any_output(capsys, tmp_path):
     # Two balls of 1e308 would merge into inf, so the config is refused
     # before the seed line, and no output file is started.
@@ -365,6 +374,33 @@ def test_missing_output_directory_exits_2_before_running(capsys, tmp_path, comma
 
 
 @OUTPUT_FLAGS
+def test_empty_output_path_exits_2_before_running(capsys, tmp_path, command, flag):
+    # An unset shell variable gives an empty path; it must not mean stdout or nothing.
+    argv = command.format(tmp=tmp_path).split()
+    argv[argv.index(flag) + 1] = ""
+    assert run_cli(capsys, *argv) == (2, "", f"error: {flag} names an empty path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "outputs, refused",
+    [
+        ("--out {tmp}/link.csv", "{tmp}/link.csv: its directory does not exist"),
+        pytest.param(
+            "--out {tmp}/t.csv --emit-values /proc/v.txt", "/proc/v.txt: No such file or directory",
+            marks=pytest.mark.skipif(sys.platform != "linux", reason="/proc takes no new file on Linux"),
+        ),
+    ],
+    ids=["symlink-into-missing-directory", "directory-that-takes-no-new-file"],
+)
+def test_output_the_write_would_fail_on_exits_2_before_running(capsys, tmp_path, outputs, refused):
+    (tmp_path / "link.csv").symlink_to(tmp_path / "missing" / "t.csv")
+    argv = ["run", "--preset", "C", "--seed", "1", *outputs.format(tmp=tmp_path).split()]
+    assert run_cli(capsys, *argv) == (2, "", f"error: cannot write {refused.format(tmp=tmp_path)}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "link.csv"]
+
+
+@OUTPUT_FLAGS
 def test_output_path_that_is_a_directory_exits_2_before_running(capsys, tmp_path, command, flag):
     argv = command.format(tmp=tmp_path).split()
     taken = tmp_path / "taken"
@@ -415,6 +451,17 @@ def test_output_naming_another_output_or_the_input_exits_2_before_running(
 def test_a_device_file_may_take_several_outputs(capsys):
     argv = "run --preset C --seed 1 --out /dev/null --emit-values /dev/null --emit-hist /dev/null"
     assert run_cli(capsys, *argv.split()) == (0, "", "seed: 1\n")
+
+
+def test_dev_stdout_into_a_pipe_is_written_in_place(capsys, tmp_path):
+    run = ["run", "--preset", "Small_100", "--seed", "1"]
+    values = tmp_path / "v.txt"
+    _, table, _ = run_cli(capsys, *run, "--emit-values", str(values))
+    proc = subprocess.run(
+        [sys.executable, "-m", "benfordsim.cli", *run, "--out", "/dev/stdout", "--emit-values", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, table + values.read_text(), "seed: 1\n")
 
 
 class HalfWriter:
@@ -655,9 +702,16 @@ def test_analyze_unreadable_file_exits_2(capsys):
 
 def test_analyze_empty_file_is_an_error(capsys, tmp_path):
     data = tmp_path / "empty.csv"
-    data.write_text("")
-    code, _, err = run_cli(capsys, "analyze", str(data))
-    assert code == 1
+    for text in ("", "value\n"):
+        data.write_text(text)
+        assert run_cli(capsys, "analyze", str(data)) == (1, "", f"error: {data}: no data values found\n")
+
+
+def test_analyze_names_the_first_20_bad_lines_and_counts_the_rest(capsys, tmp_path):
+    data = tmp_path / "negative.csv"
+    data.write_text("".join(f"-{k}\n" for k in range(1, 26)))
+    err = "".join(f"error: line {k}: not strictly positive: '-{k}'\n" for k in range(1, 21))
+    assert run_cli(capsys, "analyze", str(data)) == (1, "", err + "error: ... and 5 more bad lines\n")
 
 
 def log_uniform_lines(n, seed):

@@ -388,7 +388,7 @@ def test_empty_output_path_exits_2_before_running(capsys, tmp_path, command, fla
         ("--out {tmp}/link.csv", "{tmp}/link.csv: its directory does not exist"),
         pytest.param(
             "--out {tmp}/t.csv --emit-values /proc/v.txt", "/proc/v.txt: No such file or directory",
-            marks=pytest.mark.skipif(sys.platform != "linux", reason="/proc takes no new file on Linux"),
+            marks=pytest.mark.skipif(sys.platform != "linux", reason="needs the /proc of Linux"),
         ),
     ],
     ids=["symlink-into-missing-directory", "directory-that-takes-no-new-file"],

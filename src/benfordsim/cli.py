@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -95,17 +96,16 @@ def cmd_run(args: argparse.Namespace) -> None:
             stats._check_bin_width(width, "--hist-bin-width")
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
-    outputs = {"--out": args.out, "--emit-values": args.emit_values, "--emit-hist": args.emit_hist}
-    _check_output_paths(outputs, "--config", args.config)
-    config = _resolve_config(args)
-    print(f"seed: {config.seed}", file=sys.stderr)
-    values, records = run_experiment(config)
-    _write_output(args.out, render_table(records, args.format))
-    if args.emit_values:
-        _write_output(args.emit_values, "\n".join(map(repr, values)) + "\n")
-    if args.emit_hist:
-        bins = stats.log_histogram(values, width)
-        _write_output(args.emit_hist, _render_histogram(bins, width))
+    paths = {"--out": args.out, "--emit-values": args.emit_values, "--emit-hist": args.emit_hist}
+    with _outputs(paths, "--config", args.config) as texts:
+        config = _resolve_config(args)
+        print(f"seed: {config.seed}", file=sys.stderr)
+        values, records = run_experiment(config)
+        texts["--out"] = render_table(records, args.format)
+        if args.emit_values:
+            texts["--emit-values"] = "\n".join(map(repr, values)) + "\n"
+        if args.emit_hist:
+            texts["--emit-hist"] = _render_histogram(stats.log_histogram(values, width), width)
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -131,14 +131,22 @@ def _read_input(path: str) -> str:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _check_output_paths(outputs: dict[str, str | None], input_name: str, input_path: str | None) -> None:
-    """Refuse, before any work, an output path (keyed by its flag) that is empty,
-    that ``_write_output`` could not write, or that names the same file as
-    another output or the input, which writing it would destroy. A temp name is
-    made and removed beside a regular or new file's real path; a file written
-    in place, such as /dev/null, may be named more than once."""
+@contextlib.contextmanager
+def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | None):
+    """Own a command's outputs, keyed by flag, from refusal to rename.
+
+    On entry, refuse a path that is empty, that could not be written, or that
+    names the same file as another output or the input. A path that exists and
+    is not a regular file, such as /dev/null or a pipe, is written in place as
+    given and may be named more than once; any other goes through a temp file
+    beside its real path, a name made and removed here first. The block puts
+    each text in the yielded dict under its flag (stdout if its path is None).
+    Only a clean exit writes them; the temp files take the permission bits of
+    the files they replace and are renamed once all are written, else removed.
+    """
     seen = {os.path.realpath(input_path): input_name} if input_path else {}
-    for flag, path in outputs.items():
+    targets: dict[str, object] = {}
+    for flag, path in paths.items():
         if path is None:
             continue
         if not path:
@@ -153,46 +161,34 @@ def _check_output_paths(outputs: dict[str, str | None], input_name: str, input_p
             raise ConfigError(f"cannot write {path}: {flag} names the same file as {seen[real]}")
         seen[real] = flag
         if not in_place:
+            tmp = Path(real).with_name(f".{Path(real).name}.{os.urandom(4).hex()}.tmp")
             try:
-                probe = _temp_beside(Path(real))
-                os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-                os.unlink(probe)
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+                os.unlink(tmp)
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _write_output(path: str | None, text: str) -> None:
-    """Write ``text`` to ``path``, or to stdout if it is None, whole or not at all.
-
-    A path that exists and is not a regular file, such as /dev/null or a pipe,
-    is written in place, as given: /dev/stdout into a pipe has no real path.
-    Any other goes to a temp file beside its real path, renamed over it, so a
-    failed write leaves neither a partial file nor the temp file. The temp file
-    is opened like ``Path.write_text`` opens a file, so a new file has the same
-    mode, and it takes the permission bits of a file it replaces.
-    """
-    if path is None:
-        sys.stdout.write(text)
-        return
-    if Path(path).exists() and not Path(path).is_file():
-        Path(path).write_text(text)
-        return
-    target = Path(os.path.realpath(path))
-    tmp = _temp_beside(target)
-    f = open(tmp, "x")
+        targets[flag] = Path(path).write_text if in_place else (tmp, Path(real))
+    texts: dict[str, str] = {}
+    yield texts
+    made = []
     try:
-        with f:
-            if target.exists():
-                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
-            f.write(text)
-        os.replace(tmp, target)
+        for flag, text in texts.items():
+            target = targets.get(flag, sys.stdout.write)
+            if callable(target):
+                target(text)
+                continue
+            tmp, real = target
+            with open(tmp, "x") as f:
+                made.append((tmp, real))
+                if real.exists():
+                    os.chmod(tmp, stat.S_IMODE(real.stat().st_mode))
+                f.write(text)
+        for tmp, real in made:
+            os.replace(tmp, real)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in made:
+            tmp.unlink(missing_ok=True)
         raise
-
-
-def _temp_beside(target: Path) -> Path:
-    return target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
 
 
 def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:
@@ -212,19 +208,19 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     parsed by ``_parse_dataset``, which names every bad line; so every message,
     line number and exit code comes from that one parser.
     """
-    _check_output_paths({"--out": args.out}, "the input", args.input)
-    report = _analyze_plain_numbers(args.input) if Path(args.input).is_file() else None
-    if report is None:
-        values, bad_lines = _parse_dataset(_read_input(args.input))
-        if bad_lines:
-            shown = [f"line {lineno}: {why}: {line!r}" for lineno, line, why in bad_lines[:20]]
-            if len(bad_lines) > 20:
-                shown.append(f"... and {len(bad_lines) - 20} more bad lines")
-            raise DomainError("\nerror: ".join(shown))
-        if not values:
-            raise EmptyDataError(f"{args.input}: no data values found")
-        report = stats.analyze(values)
-    _write_output(args.out, _render_analysis(report, args.format))
+    with _outputs({"--out": args.out}, "the input", args.input) as texts:
+        report = _analyze_plain_numbers(args.input) if Path(args.input).is_file() else None
+        if report is None:
+            values, bad_lines = _parse_dataset(_read_input(args.input))
+            if bad_lines:
+                shown = [f"line {lineno}: {why}: {line!r}" for lineno, line, why in bad_lines[:20]]
+                if len(bad_lines) > 20:
+                    shown.append(f"... and {len(bad_lines) - 20} more bad lines")
+                raise DomainError("\nerror: ".join(shown))
+            if not values:
+                raise EmptyDataError(f"{args.input}: no data values found")
+            report = stats.analyze(values)
+        texts["--out"] = _render_analysis(report, args.format)
 
 
 def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:

@@ -136,10 +136,11 @@ def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | No
     """Own a command's outputs, keyed by flag, from refusal to rename.
 
     On entry, refuse a path that is empty, that could not be written, or that
-    names the same file as another output or the input. A path that exists and
-    is not a regular file, such as /dev/null or a pipe, is written in place as
-    given and may be named more than once; any other goes through a temp file
-    beside its real path, a name made and removed here first. The block puts
+    names the same file as another output or the input. A path naming the file
+    of stdout or stderr is written through that stream, and one that exists and
+    is not a regular file, such as /dev/null or a pipe, in place as given; both
+    may be named more than once. Any other goes through a temp file beside its
+    real path, a name made and removed here first. The block puts
     each text in the yielded dict under its flag (stdout if its path is None).
     Only a clean exit writes them; the temp files take the permission bits of
     the files they replace and are renamed once all are written, else removed.
@@ -156,18 +157,21 @@ def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | No
             raise ConfigError(f"cannot write {path}: it is a directory")
         if not Path(real).parent.is_dir():
             raise ConfigError(f"cannot write {path}: its directory does not exist")
-        in_place = Path(path).exists() and not Path(path).is_file()
+        stream = _stream_named(path)
+        in_place = stream is not None or Path(path).exists() and not Path(path).is_file()
         if real in seen and not in_place:
             raise ConfigError(f"cannot write {path}: {flag} names the same file as {seen[real]}")
         seen[real] = flag
-        if not in_place:
-            tmp = Path(real).with_name(f".{Path(real).name}.{os.urandom(4).hex()}.tmp")
-            try:
-                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-                os.unlink(tmp)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-        targets[flag] = Path(path).write_text if in_place else (tmp, Path(real))
+        if in_place:
+            targets[flag] = stream.write if stream else Path(path).write_text
+            continue
+        tmp = Path(real).with_name(f".{Path(real).name}.{os.urandom(4).hex()}.tmp")
+        try:
+            os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(tmp)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        targets[flag] = (tmp, Path(real))
     texts: dict[str, str] = {}
     yield texts
     made = []
@@ -189,6 +193,15 @@ def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | No
         for tmp, _ in made:
             tmp.unlink(missing_ok=True)
         raise
+
+
+def _stream_named(path: str):
+    """sys.stdout or sys.stderr if ``path`` names the file open on fd 1 or fd 2, else None."""
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with contextlib.suppress(OSError):
+            if os.path.samestat(os.stat(path), os.fstat(fd)):
+                return stream
+    return None
 
 
 def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:

@@ -140,10 +140,10 @@ def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | No
     of stdout or stderr is written through that stream, and one that exists and
     is not a regular file, such as /dev/null or a pipe, in place as given; both
     may be named more than once. Any other goes through a temp file beside its
-    real path, a name made and removed here first. The block puts
-    each text in the yielded dict under its flag (stdout if its path is None).
-    Only a clean exit writes them; the temp files take the permission bits of
-    the files they replace and are renamed once all are written, else removed.
+    real path, a name made and removed here first. The block puts each text in
+    the yielded dict under its flag (stdout if its path is None). Only a clean
+    exit writes them; the temp files take the permission bits of the files they
+    replace and are renamed once all are written, else removed.
     """
     seen = {os.path.realpath(input_path): input_name} if input_path else {}
     targets: dict[str, object] = {}

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import signal
 import stat
 import subprocess
 import sys
@@ -464,6 +465,38 @@ def test_dev_stdout_into_a_pipe_is_written_in_place(capsys, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, table + values.read_text(), "seed: 1\n")
 
 
+@pytest.mark.parametrize(
+    "stream, outputs, logged",
+    [
+        ("stdout", "--out /dev/stdout", "earlier\n{table}"),
+        ("stdout", "--emit-values /dev/stdout", "earlier\n{table}{values}"),
+        ("stdout", "--out /dev/stdout --emit-values /dev/stdout", "earlier\n{table}{values}"),
+        ("stderr", "--out /dev/stderr", "earlier\nseed: 1\n{table}"),
+        ("stderr", "--out /dev/stderr --emit-values /dev/stderr", "earlier\nseed: 1\n{table}{values}"),
+    ],
+    ids=["stdout-out", "stdout-values", "stdout-out-and-values", "stderr-out", "stderr-out-and-values"],
+)
+def test_output_naming_the_file_of_stdout_or_stderr_goes_through_that_stream(
+    capsys, tmp_path, stream, outputs, logged
+):
+    # As with `run ... >> log`, the file open on the stream is appended to, not replaced.
+    run = ["run", "--preset", "Small_100", "--seed", "1"]
+    values = tmp_path / "v.txt"
+    _, table, _ = run_cli(capsys, *run, "--emit-values", str(values))
+    log = tmp_path / "log"
+    log.write_text("earlier\n")
+    with open(log, "a") as f:
+        proc = subprocess.run(
+            [sys.executable, "-m", "benfordsim.cli", *run, *outputs.split()],
+            stdout=f if stream == "stdout" else subprocess.PIPE,
+            stderr=f if stream == "stderr" else subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    other = proc.stderr if stream == "stdout" else proc.stdout
+    assert (proc.returncode, other) == (0, "seed: 1\n" if stream == "stdout" else "")
+    assert log.read_text() == logged.format(table=table, values=values.read_text())
+
+
 class HalfWriter:
     """A file whose write stores half the text and then fails, as on a full disk."""
 
@@ -500,6 +533,44 @@ def test_failed_write_leaves_no_partial_or_temp_file(capsys, tmp_path, monkeypat
     assert "No space left" in err
     assert table.read_text() == "old table\n"
     assert list(tmp_path.iterdir()) == [table]
+
+
+def test_a_failed_write_leaves_none_of_the_runs_files(capsys, tmp_path, monkeypatch):
+    table = tmp_path / "t.csv"
+    table.write_text("old table\n")
+    opened = []
+
+    def third_file_fills_the_disk(path, mode):
+        opened.append(path)
+        return HalfWriter(open(path, mode)) if len(opened) == 3 else open(path, mode)
+
+    monkeypatch.setattr(cli, "open", third_file_fills_the_disk, raising=False)
+    code, out, err = run_cli(capsys, *RUN_WITH_ALL_OUTPUTS.format(tmp=tmp_path).split())
+    assert (code, out) == (2, "")
+    assert "No space left" in err
+    assert len(opened) == 3
+    assert table.read_text() == "old table\n"
+    assert list(tmp_path.iterdir()) == [table]
+
+
+def test_a_killed_run_leaves_only_its_config(tmp_path):
+    # No temp file is held open across the run, so a kill leaves none behind.
+    config = tmp_path / "long.cfg"
+    config.write_text("ball_count = 100\ninitial_value = 1\ncycles = 1000000000\npolicy = uniform\nseed = 1\n")
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "t.csv"), "--emit-values", str(tmp_path / "v.txt")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "benfordsim.cli", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stderr.readline() == "seed: 1\n"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == -signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_outputs_keep_the_file_mode_links_and_pipes(capsys, tmp_path):

@@ -808,13 +808,40 @@ GOLDEN_ANALYZE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("dataset, format", sorted(GOLDEN_ANALYZE_DIGESTS))
-def test_analyze_output_matches_golden_digest(capsys, tmp_path, dataset, format):
+def in_parts(monkeypatch, part_bytes, cpus=3):
+    """Make `analyze` cut a file into parts of at least ``part_bytes`` as if
+    ``cpus`` CPUs were available; returns the list of the children it starts."""
+    monkeypatch.setattr(cli, "_PART_BYTES", part_bytes)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+# The 100,000-line datasets (~2.4 MB) are one part at the default part size
+# and three, two of them in children, at 64 KiB.
+@pytest.mark.parametrize(
+    "dataset, format, part_bytes",
+    [
+        pytest.param(dataset, format, part_bytes, id=f"{dataset}-{format}{suffix}")
+        for dataset, format in sorted(GOLDEN_ANALYZE_DIGESTS)
+        for part_bytes, suffix in ((cli._PART_BYTES, ""), (64 << 10, "-64KiB_parts"))
+    ],
+)
+def test_analyze_output_matches_golden_digest(capsys, tmp_path, monkeypatch, dataset, format, part_bytes):
+    started = in_parts(monkeypatch, part_bytes)
     data = tmp_path / "data.csv"
     data.write_bytes(ANALYZE_DATASETS[dataset]().encode())
     code, out, err = run_cli(capsys, "analyze", str(data), "--format", format)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE_DIGESTS[dataset, format]
+    assert len(started) == (2 if dataset != "earthquake" and part_bytes == 64 << 10 else 0)
 
 
 # Lines of numbers, mostly clean, with every shape the dataset parser treats
@@ -875,6 +902,112 @@ def test_analyze_fast_path_gives_the_line_parsers_output(capsys, tmp_path):
         fast += cli._analyze_plain_numbers(path) is not None
     # Every outcome occurs, and the fast path answers a good share of the clean files.
     assert min(codes.count(0), codes.count(1), codes.count(2), fast) > 30
+
+
+def test_analyze_in_tiny_parts_gives_the_line_parsers_output(capsys, tmp_path, monkeypatch):
+    started = in_parts(monkeypatch, 4)
+    rng = random.Random(1505)
+    path = str(tmp_path / "data.csv")
+    for _ in range(60):
+        Path(path).write_bytes(fuzz_dataset(rng))
+        format = rng.choice(["csv", "json"])
+        expected = analyze_by_the_line_parser(path, format)
+        assert run_cli(capsys, "analyze", path, "--format", format) == expected, Path(path).read_bytes()
+    assert len(started) > 30
+
+
+def test_analyze_explains_bad_lines_in_a_childs_part(capsys, tmp_path, monkeypatch):
+    started = in_parts(monkeypatch, 16)
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "1.5\n" * 40 + "-3\nnan\nwat\n")
+    expected = analyze_by_the_line_parser(str(data), "csv")
+    assert expected[0] == 1 and expected[2].count("error: line") == 3
+    assert run_cli(capsys, "analyze", str(data)) == expected
+    # The bad lines are all in the last part, and "wat" fails its child.
+    assert [child.returncode for child in started] == [0, 1]
+
+
+def test_analyze_explains_bad_lines_spread_over_the_parts(capsys, tmp_path, monkeypatch):
+    # Eighty 5-byte lines cut into four parts of twenty, the last three in
+    # children. The 25 bad lines, negatives and non-numbers, are in every
+    # child's part, so each child fails.
+    started = in_parts(monkeypatch, 16, cpus=4)
+    lines = ["1.25"] * 80
+    for k in range(21, 70, 2):
+        lines[k] = f"{-k:4d}" if k % 4 == 1 else f"x{k:03d}"
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "".join(f"{line}\n" for line in lines))
+    expected = analyze_by_the_line_parser(str(data), "csv")
+    assert expected[0] == 1 and expected[2].endswith("error: ... and 5 more bad lines\n")
+    assert run_cli(capsys, "analyze", str(data)) == expected
+    assert len(started) == 3 and started[0].returncode == 1
+
+
+@pytest.mark.parametrize(
+    "lines, code",
+    [(["1.5"] * 60, 0), (["1.5"] * 59 + ["wat"], 1), (["wat"] + ["1.5"] * 59, 1)],
+    ids=["clean", "bad-line-in-a-child", "bad-line-before-any-child-is-read"],
+)
+def test_no_child_outlives_analyze(capsys, tmp_path, monkeypatch, lines, code):
+    started = in_parts(monkeypatch, 16)
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "".join(f"{line}\n" for line in lines))
+    assert run_cli(capsys, "analyze", str(data))[0] == code
+    assert len(started) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_analyze_parses_the_parts_itself_when_no_child_starts(capsys, tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 5)))
+    expected = run_cli(capsys, "analyze", str(data), "--format", "json")
+    assert expected[0] == 0
+    in_parts(monkeypatch, 64)
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    assert run_cli(capsys, "analyze", str(data), "--format", "json") == expected
+    assert cli._analyze_plain_numbers(str(data)) is not None
+
+
+def test_children_read_the_file_analyze_opened(capsys, tmp_path, monkeypatch):
+    # The path names another file by the time the children start.
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 6)))
+    expected = run_cli(capsys, "analyze", str(data))
+    started = in_parts(monkeypatch, 64)
+    start_child = cli._start_child
+
+    def replace_then_start(*args):
+        if not started:
+            other = tmp_path / "other.csv"
+            other.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 7)))
+            os.replace(other, data)
+        return start_child(*args)
+
+    monkeypatch.setattr(cli, "_start_child", replace_then_start)
+    assert run_cli(capsys, "analyze", str(data)) == expected
+    assert len(started) == 2
+
+
+def test_import_and_a_small_analyze_load_no_subprocess():
+    # Importing subprocess takes ~10 ms, which only an analyze that starts a
+    # child pays.
+    src = str(Path(cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from benfordsim import cli; "
+        "print('subprocess' in sys.modules); cli.main(['analyze', sys.argv[1]]); "
+        "print('subprocess' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, EARTHQUAKE_CSV], capture_output=True, text=True, check=True
+    )
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
+    assert "n,40" in lines
 
 
 def analyze_from_a_fifo(fifo, data):

@@ -245,14 +245,18 @@ _PART_BYTES = 4 << 20
 # A child's program: the doubles of one part of the file open on its stdin,
 # sorted, in machine order on stdout. It maps the file rather than reading
 # it, so it moves no file offset it shares with the parent. It exits 1 on a
-# line float() rejects.
+# line float() rejects, or on a value that is not positive and finite, as
+# stats._is_positive_run checks a run, before it writes anything.
 _PART_CODE = """\
 import io, mmap, sys
 from array import array
 offset, length = int(sys.argv[1]), int(sys.argv[2])
 with mmap.mmap(0, offset + length, access=mmap.ACCESS_READ) as m:
     lines = io.BytesIO(m[offset:offset + length])
-sys.stdout.buffer.write(array("d", sorted(map(float, lines))).tobytes())
+xs = sorted(map(float, lines))
+if xs and not (0.0 < xs[0] and xs[-1] <= sys.float_info.max and sum(xs) > 0.0):
+    sys.exit(1)
+sys.stdout.buffer.write(array("d", xs))
 """
 
 
@@ -266,8 +270,8 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
 
     The first line is decoded as ``_read_input`` decodes a file and goes
     through ``_parse_dataset``, which decides whether it is a header; a bad
-    first line gives None. Every later line goes to ``float`` as bytes, and
-    ``stats.analyze`` rejects a zero, negative, inf or NaN value. This gives
+    first line gives None. Every later line goes to ``float`` as bytes, and a
+    part with a zero, negative, inf or NaN value gives None. This gives
     ``_parse_dataset``'s values exactly: a line of bytes that ``float``
     accepts is one number padded with ASCII whitespace, so it decodes as it
     is and each piece ``str.splitlines`` cuts from it is blank or that
@@ -275,11 +279,12 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
     number here, so it is data to ``_parse_dataset`` too.
 
     The later lines are cut at line starts into one part per available CPU,
-    each of at least ``_PART_BYTES``. This process parses and sorts the
-    first part, and a child interpreter each other one (or this process, if
-    it cannot be started). ``stats.analyze`` merges the sorted parts in its
-    one sort, so the report is the same whatever the cut. A child that fails
-    gives None; none outlives this call.
+    each of at least ``_PART_BYTES``. This process parses the first part, and
+    a child interpreter each other one (or this process, if it cannot be
+    started); each sorts and checks its values. ``stats._report`` takes the
+    sorted runs as they are, a child's as a ``memoryview`` of its doubles, so
+    the report is the same whatever the cut. A child that fails gives None;
+    none outlives this call.
     """
     children = []
     try:
@@ -305,14 +310,18 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
                     children.append(child)
             for offset, length in own:
                 f.seek(offset)
-                values += sorted(map(float, io.BytesIO(f.read(length))))
+                values += map(float, io.BytesIO(f.read(length)))
+            values.sort()
+            if not stats._is_positive_run(values):
+                return None
+        runs = [values]
         for child in children:
             doubles = child.stdout.read()
             if child.wait() != 0:
                 return None
-            values += memoryview(doubles).cast("d")
-        return stats.analyze(values)
-    except ValueError:  # also a UnicodeDecodeError, and analyze's DomainError or EmptyDataError
+            runs.append(memoryview(doubles).cast("d"))
+        return stats._report(runs)
+    except ValueError:  # also a UnicodeDecodeError, and the EmptyDataError of no values
         return None
     finally:
         for child in children:

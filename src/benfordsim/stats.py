@@ -3,17 +3,19 @@
 Provides the building blocks for judging how Benford-like a dataset is: the
 sum of squared deviations of first-digit percentages from the Benford
 percentages (SSD), quantiles with linear interpolation, and base-10 log
-histograms as (bin index, count) pairs. ``analyze`` builds its report around
-one sort per dataset: the sorted values give the 90th/10th percentile ratio
-(QTM), the classical log10(max/min) order of magnitude (OOM) and, through
-``digits.tally_digits``, which bisects the digit boundaries of the decades
-they span into them, the first-digit counts.
+histograms as (bin index, count) pairs. A report is built from ascending
+runs of the dataset, which ``analyze`` makes with one sort: they give the
+90th/10th percentile ratio (QTM), the classical log10(max/min) order of
+magnitude (OOM) and, through ``digits.tally_digits``, which bisects the digit
+boundaries of the decades a run spans into it, the first-digit counts. Each
+number is a function of the values alone, so any cut into runs gives it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
 from .digits import tally_digits
@@ -67,7 +69,8 @@ def _quantile_sorted(xs: Sequence[float], q: float) -> float:
     lo = math.floor(h)
     if lo + 1 >= len(xs):
         return xs[-1]
-    return xs[lo] + (h - lo) * (xs[lo + 1] - xs[lo])
+    a = xs[lo]
+    return a + (h - lo) * (xs[lo + 1] - a)
 
 
 # The largest |log10 x| of a positive double, that of the smallest subnormal.
@@ -123,18 +126,35 @@ def analyze(values: Sequence[float]) -> BenfordReport:
     the first zero, inf, NaN or magnitude beyond the largest double, else
     the first negative.
     """
-    if len(values) == 0:
-        raise EmptyDataError("dataset is empty")
     xs = sorted(values)
-    # A NaN can sort anywhere, so the ends alone do not prove the data good;
-    # a sum is NaN only if a value is, and fails only on an int beyond a double.
-    try:
-        total = sum(xs)
-    except OverflowError:
-        total = math.nan
-    if not (0.0 < xs[0] and xs[-1] <= sys.float_info.max and total == total):
+    if not _is_positive_run(xs):
         raise _first_bad_value(values)
-    counts = tally_digits(xs)
+    return _report([xs])
+
+
+def _is_positive_run(xs: Sequence[float]) -> bool:
+    """Whether ascending ``xs`` holds only positive values up to the largest
+    double. A NaN can sort anywhere, so the ends alone do not prove that; given
+    them, the sum is positive unless a value is NaN, and fails only on an int
+    beyond a double."""
+    try:
+        return not xs or 0.0 < xs[0] and xs[-1] <= sys.float_info.max and sum(xs) > 0.0
+    except OverflowError:
+        return False
+
+
+def _report(runs: Sequence[Sequence[float]]) -> BenfordReport:
+    """The report of the values of ascending ``runs`` together, each one that
+    ``_is_positive_run`` accepts; a run may be empty or a ``memoryview``."""
+    runs = list(filter(len, runs))
+    if not runs:
+        raise EmptyDataError("dataset is empty")
+    if len(runs) == 1:
+        xs, counts = runs[0], tally_digits(runs[0])
+        lo, hi = xs[0], xs[-1]
+    else:
+        xs, counts = _Runs(runs), tuple(map(sum, zip(*map(tally_digits, runs))))
+        lo, hi = min(run[0] for run in runs), max(run[-1] for run in runs)
     n = len(xs)
     props = tuple(100.0 * c / n for c in counts)
     q10 = _quantile_sorted(xs, 0.1)
@@ -145,7 +165,42 @@ def analyze(values: Sequence[float]) -> BenfordReport:
         q10=q10,
         q90=q90,
         qtm=q90 / q10,
-        oom=math.log10(xs[-1] / xs[0]),
+        oom=math.log10(hi / lo),
         n=n,
         counts=counts,
     )
+
+
+class _Runs:
+    """Two or more non-empty ascending runs read as the ascending sequence of
+    all their values, at the indices 0 <= k < n that ``_quantile_sorted`` reads.
+
+    Each run keeps a window [lo, hi) of the indices item k may still be at.
+    The pivot is the weighted median of the windows' middle values, so each
+    step drops at least a quarter of what they hold: O(runs · log² n) in all.
+    """
+
+    def __init__(self, runs: list[Sequence[float]]) -> None:
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs))
+
+    def __getitem__(self, k: int) -> float:
+        runs = self.runs
+        lo, hi = [0] * len(runs), list(map(len, runs))
+        while True:
+            mids = sorted((run[(a + b) // 2], b - a) for run, a, b in zip(runs, lo, hi) if a < b)
+            rest = sum(hi) - sum(lo)
+            for pivot, w in mids:
+                rest -= 2 * w
+                if rest <= 0:
+                    break
+            pivots = [pivot] * len(runs)
+            below = list(map(bisect_left, runs, pivots, lo, hi))
+            if sum(below) > k:
+                hi = below
+                continue
+            lo = list(map(bisect_right, runs, pivots, lo, hi))
+            if sum(lo) > k:  # at most k values lie below pivot, more than k up to it
+                return pivot

@@ -927,6 +927,43 @@ def test_analyze_explains_bad_lines_in_a_childs_part(capsys, tmp_path, monkeypat
     assert [child.returncode for child in started] == [0, 1]
 
 
+@pytest.mark.parametrize("part", ["child", "parent"])
+def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path, monkeypatch, part):
+    # float() takes every bad line here (1e-400 is 0.0), so only the check of
+    # the sorted part turns it down: the last part's, in its child, or the
+    # first part's, in this process before any child is read.
+    started = in_parts(monkeypatch, 16)
+    reports = []
+    monkeypatch.setattr(stats, "_report", reports.append)
+    bad, good = ["nan", "inf", "0", "-0.0", "1e-400"], ["1.5"] * 40
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "".join(f"{x}\n" for x in (good + bad if part == "child" else bad + good)))
+    expected = analyze_by_the_line_parser(str(data), "csv")
+    assert expected[0] == 1 and expected[2].count("error: line") == 5
+    assert run_cli(capsys, "analyze", str(data)) == expected
+    assert reports == []
+    if part == "child":
+        assert [child.returncode for child in started] == [0, 1]
+    else:
+        assert len(started) == 2 and 1 not in [child.returncode for child in started]
+
+
+def test_analyze_reports_on_each_childs_doubles_as_they_arrive(capsys, tmp_path, monkeypatch):
+    # The parent's part is one list; each child's doubles reach the report as
+    # a memoryview, never copied into floats or merged.
+    started = in_parts(monkeypatch, 64 << 10)
+    reports = []
+    report = stats._report
+    monkeypatch.setattr(stats, "_report", lambda runs: reports.append(runs) or report(runs))
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(10_000, 9)))
+    assert run_cli(capsys, "analyze", str(data))[0] == 0
+    [runs] = reports
+    assert len(started) == 2
+    assert [type(run) for run in runs] == [list, memoryview, memoryview]
+    assert sum(map(len, runs)) == 10_000
+
+
 def test_analyze_explains_bad_lines_spread_over_the_parts(capsys, tmp_path, monkeypatch):
     # Eighty 5-byte lines cut into four parts of twenty, the last three in
     # children. The 25 bad lines, negatives and non-numbers, are in every

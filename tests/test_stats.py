@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -16,7 +18,7 @@ from benfordsim import (
     log_histogram,
     ssd,
 )
-from benfordsim.stats import _quantile_sorted
+from benfordsim.stats import _quantile_sorted, _report
 
 EARTHQUAKE_COUNTS = (15, 8, 6, 4, 4, 0, 2, 1, 0)
 EARTHQUAKE_PCT = (37.5, 20.0, 15.0, 10.0, 10.0, 0.0, 5.0, 2.5, 0.0)
@@ -300,6 +302,40 @@ def test_analyze_finds_a_nan_that_sorts_between_good_values():
     assert math.isnan(sorted(values)[2])
     with pytest.raises(DomainError, match=r"index 2\b.*nan"):
         analyze(values)
+
+
+# Pools a dataset draws from: few values (ties everywhere, at the q10/q90
+# ranks and at run ends), subnormals next to normal values, and one value.
+# Every fourth dataset is drawn over the whole range of doubles instead.
+REPORT_POOLS = [
+    [1.5, 2.0, 2.0, 3.0, 7.25],
+    [5e-324, 1e-323, 2.2250738585072014e-308, 3e-310, 1e-300, 1.0],
+    [1.0],
+]
+
+
+def random_runs(rng, values):
+    """``values`` dealt into 1 to 12 ascending runs, some empty, some memoryviews."""
+    runs = [[] for _ in range(rng.randint(1, 12))]
+    for x in values:
+        rng.choice(runs).append(x)
+    runs = [sorted(run) for run in runs]
+    return [memoryview(array("d", run)) if rng.random() < 0.5 else run for run in runs]
+
+
+def test_report_of_any_cut_into_runs_is_the_analysis_of_the_whole():
+    rng = random.Random(505)
+    for case in range(300):
+        pool = REPORT_POOLS[case % 4] if case % 4 < 3 else None
+        n = rng.choice([1, 2, 3, 9, 10, 11, 41, rng.randint(1, 300)])
+        if pool is None:
+            values = [math.ldexp(rng.random() + 0.5, rng.randrange(-1073, 1024)) for _ in range(n)]
+        else:
+            values = [rng.choice(pool) for _ in range(n)]
+        runs = random_runs(rng, values)
+        assert _report(runs) == analyze(values), (values, [list(run) for run in runs])
+    with pytest.raises(EmptyDataError):
+        _report([[], memoryview(array("d"))])
 
 
 def test_analyze_reports_a_zero_before_an_earlier_negative():

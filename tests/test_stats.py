@@ -18,7 +18,7 @@ from benfordsim import (
     log_histogram,
     ssd,
 )
-from benfordsim.stats import _quantile_sorted, _report
+from benfordsim.stats import _quantile, _report, _select
 
 EARTHQUAKE_COUNTS = (15, 8, 6, 4, 4, 0, 2, 1, 0)
 EARTHQUAKE_PCT = (37.5, 20.0, 15.0, 10.0, 10.0, 0.0, 5.0, 2.5, 0.0)
@@ -107,7 +107,7 @@ def test_ssd_requires_nine_entries():
 
 
 def quantile(values, q):
-    return _quantile_sorted(sorted(values), q)
+    return _quantile([sorted(values)], len(values), q)
 
 
 def test_quantile_interpolation_one_to_ten():
@@ -125,11 +125,16 @@ def test_quantile_extremes_and_singleton():
     assert quantile([2, 9, 4], 1.0) == 9
 
 
-@given(positive_lists, st.floats(min_value=0.0, max_value=1.0))
-def test_quantile_matches_numpy_linear(values, q):
+@given(positive_lists, st.floats(min_value=0.0, max_value=1.0), st.randoms(use_true_random=False))
+def test_quantile_matches_numpy_linear(values, q, rng):
     ours = quantile(values, q)
     theirs = float(np.quantile(np.array(values), q, method="linear"))
     assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-12)
+    runs = [[] for _ in range(rng.randint(2, 4))]
+    for x in values:
+        rng.choice(runs).append(x)
+    across = _quantile([sorted(run) for run in runs if run], len(values), q)
+    assert across == pytest.approx(theirs, rel=1e-12, abs=1e-12)
     report = analyze(values)
     assert (report.q10, report.q90) == (quantile(values, 0.1), quantile(values, 0.9))
 
@@ -297,6 +302,14 @@ def test_analyze_names_the_index_of_a_bad_value(bad):
         analyze([3.0, 1.0, bad, 2.0, bad])
 
 
+def test_analyze_admits_ints_whose_sum_does_not_fit_in_a_double():
+    report = analyze([10**308, 10**308, 1.7e308])
+    assert report.n == 3
+    assert report.counts == (3, 0, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(DomainError, match=r"index 2\b.*nan"):
+        analyze([10**308, 10**308, math.nan, 1.7e308])
+
+
 def test_analyze_finds_a_nan_that_sorts_between_good_values():
     values = [1.0, 2.0, math.nan, 3.0, 4.0]
     assert math.isnan(sorted(values)[2])
@@ -305,11 +318,12 @@ def test_analyze_finds_a_nan_that_sorts_between_good_values():
 
 
 # Pools a dataset draws from: few values (ties everywhere, at the q10/q90
-# ranks and at run ends), subnormals next to normal values, and one value.
+# ranks and at run ends), subnormals next to normal values and the largest
+# double (both ends of the bits ``_select`` halves over), and one value.
 # Every fourth dataset is drawn over the whole range of doubles instead.
 REPORT_POOLS = [
     [1.5, 2.0, 2.0, 3.0, 7.25],
-    [5e-324, 1e-323, 2.2250738585072014e-308, 3e-310, 1e-300, 1.0],
+    [5e-324, 1e-323, 2.2250738585072014e-308, 3e-310, 1e-300, 1.0, 1.7976931348623157e308],
     [1.0],
 ]
 
@@ -323,19 +337,33 @@ def random_runs(rng, values):
     return [memoryview(array("d", run)) if rng.random() < 0.5 else run for run in runs]
 
 
+def random_dataset(rng, case):
+    """1 to 300 values drawn from ``REPORT_POOLS[case % 4]``, or over the whole
+    range of doubles when ``case % 4 == 3``."""
+    pool = REPORT_POOLS[case % 4] if case % 4 < 3 else None
+    n = rng.choice([1, 2, 3, 9, 10, 11, 41, rng.randint(1, 300)])
+    if pool is None:
+        return [math.ldexp(rng.random() + 0.5, rng.randrange(-1073, 1024)) for _ in range(n)]
+    return [rng.choice(pool) for _ in range(n)]
+
+
 def test_report_of_any_cut_into_runs_is_the_analysis_of_the_whole():
     rng = random.Random(505)
     for case in range(300):
-        pool = REPORT_POOLS[case % 4] if case % 4 < 3 else None
-        n = rng.choice([1, 2, 3, 9, 10, 11, 41, rng.randint(1, 300)])
-        if pool is None:
-            values = [math.ldexp(rng.random() + 0.5, rng.randrange(-1073, 1024)) for _ in range(n)]
-        else:
-            values = [rng.choice(pool) for _ in range(n)]
+        values = random_dataset(rng, case)
         runs = random_runs(rng, values)
         assert _report(runs) == analyze(values), (values, [list(run) for run in runs])
     with pytest.raises(EmptyDataError):
         _report([[], memoryview(array("d"))])
+
+
+def test_select_across_runs_gives_every_rank_of_the_sorted_values():
+    rng = random.Random(1505)
+    for case in range(200):
+        values = random_dataset(rng, case)
+        runs = list(filter(len, random_runs(rng, values)))
+        ranks = [_select(runs, k) for k in range(len(values))]
+        assert ranks == sorted(values), (values, [list(run) for run in runs])
 
 
 def test_analyze_reports_a_zero_before_an_earlier_negative():

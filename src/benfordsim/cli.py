@@ -246,17 +246,23 @@ _PART_BYTES = 4 << 20
 # sorted, in machine order on stdout. It maps the file rather than reading
 # it, so it moves no file offset it shares with the parent. It exits 1 on a
 # line float() rejects, or on a value that is not positive and finite, as
-# stats._is_positive_run checks a run, before it writes anything.
+# stats._is_positive_run checks a run, before it writes anything. It sums the
+# contiguous array, not the sorted list whose floats lie all over the heap
+# (~8 against ~23 ms for 500,000), and ends with os._exit, as the parent reads
+# to EOF and a normal exit first frees each float (~70 ms).
 _PART_CODE = """\
-import io, mmap, sys
+import io, mmap, os, sys
 from array import array
 offset, length = int(sys.argv[1]), int(sys.argv[2])
 with mmap.mmap(0, offset + length, access=mmap.ACCESS_READ) as m:
     lines = io.BytesIO(m[offset:offset + length])
 xs = sorted(map(float, lines))
-if xs and not (0.0 < xs[0] and xs[-1] <= sys.float_info.max and sum(xs) > 0.0):
+doubles = array("d", xs)
+if doubles and not (0.0 < doubles[0] and doubles[-1] <= sys.float_info.max and sum(doubles) > 0.0):
     sys.exit(1)
-sys.stdout.buffer.write(array("d", xs))
+sys.stdout.buffer.write(doubles)
+sys.stdout.flush()
+os._exit(0)
 """
 
 
@@ -283,8 +289,9 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
     a child interpreter each other one (or this process, if it cannot be
     started); each sorts and checks its values. ``stats._report`` takes the
     sorted runs as they are, a child's as a ``memoryview`` of its doubles, so
-    the report is the same whatever the cut. A child that fails gives None;
-    none outlives this call.
+    the report is the same whatever the cut. It tallies this process's run
+    before it reads any child's, while the children are still parsing. A
+    child that fails gives None; none outlives this call.
     """
     children = []
     try:
@@ -314,13 +321,16 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
             values.sort()
             if not stats._is_positive_run(values):
                 return None
-        runs = [values]
-        for child in children:
-            doubles = child.stdout.read()
-            if child.wait() != 0:
-                return None
-            runs.append(memoryview(doubles).cast("d"))
-        return stats._report(runs)
+
+        def runs():  # this process's run is tallied while the children still work
+            yield values
+            for child in children:
+                doubles = child.stdout.read()
+                if child.wait() != 0:
+                    raise ValueError(f"child {child.pid} failed")
+                yield memoryview(doubles).cast("d")
+
+        return stats._report(runs())
     except ValueError:  # also a UnicodeDecodeError, and the EmptyDataError of no values
         return None
     finally:
@@ -332,10 +342,13 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
 
 def _start_child(file: io.BufferedReader, offset: int, length: int):
     """A child interpreter running ``_PART_CODE`` on one part of the open
-    ``file``, or None if it cannot be started. The child gets the file as its
-    stdin, not by name, so it reads the file this process opened even if the
-    path is replaced meanwhile. Only here is ``subprocess`` imported (~10 ms),
-    so a run or a small file never pays for it."""
+    ``file``, or None if it cannot be started or ``sys.executable`` is empty
+    or None. The child gets the file as its stdin, not by name, so it reads
+    the file this process opened even if the path is replaced meanwhile. Only
+    here is ``subprocess`` imported (~10 ms), so a run or a small file never
+    pays for it."""
+    if not sys.executable:
+        return None
     import subprocess
 
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .digits import tally_digits
 from .errors import DomainError, EmptyDataError
@@ -129,13 +129,15 @@ def _is_positive_run(xs: Sequence[float]) -> bool:
         return all(x == x for x in xs)
 
 
-def _report(runs: Sequence[Sequence[float]]) -> BenfordReport:
+def _report(runs: Iterable[Sequence[float]]) -> BenfordReport:
     """The report of the values of ascending ``runs`` together, each one that
-    ``_is_positive_run`` accepts; a run may be empty or a ``memoryview``."""
-    runs = list(filter(len, runs))
-    if not runs:
+    ``_is_positive_run`` accepts; a run may be empty or a ``memoryview``. Each
+    run is tallied as it comes, so ``runs`` may be a generator that waits."""
+    tallied = [(run, tally_digits(run)) for run in filter(len, runs)]
+    if not tallied:
         raise EmptyDataError("dataset is empty")
-    counts = tuple(map(sum, zip(*map(tally_digits, runs))))
+    runs, tallies = zip(*tallied)
+    counts = tuple(map(sum, zip(*tallies)))
     n = sum(map(len, runs))
     props = tuple(100.0 * c / n for c in counts)
     q10 = _quantile(runs, n, 0.1)
@@ -152,7 +154,7 @@ def _report(runs: Sequence[Sequence[float]]) -> BenfordReport:
     )
 
 
-def _quantile(runs: list[Sequence[float]], n: int, q: float) -> float:
+def _quantile(runs: Sequence[Sequence[float]], n: int, q: float) -> float:
     """Quantile of the n values of ``runs`` by linear interpolation between
     closest ranks.
 
@@ -167,7 +169,7 @@ def _quantile(runs: list[Sequence[float]], n: int, q: float) -> float:
     return a + (h - lo) * (_select(runs, lo + 1) - a)
 
 
-def _select(runs: list[Sequence[float]], k: int) -> float:
+def _select(runs: Sequence[Sequence[float]], k: int) -> float:
     """The value of rank k, from 0, among the values of non-empty ascending
     ``runs``.
 

@@ -927,41 +927,97 @@ def test_analyze_explains_bad_lines_in_a_childs_part(capsys, tmp_path, monkeypat
     assert [child.returncode for child in started] == [0, 1]
 
 
+def spy_on_tallies(monkeypatch, events):
+    """Append to ``events`` each run that ``stats._report`` tallies."""
+    tally = stats.tally_digits
+    monkeypatch.setattr(stats, "tally_digits", lambda run: events.append(run) or tally(run))
+
+
 @pytest.mark.parametrize("part", ["child", "parent"])
 def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path, monkeypatch, part):
     # float() takes every bad line here (1e-400 is 0.0), so only the check of
     # the sorted part turns it down: the last part's, in its child, or the
-    # first part's, in this process before any child is read.
+    # first part's, in this process before anything is tallied.
     started = in_parts(monkeypatch, 16)
-    reports = []
-    monkeypatch.setattr(stats, "_report", reports.append)
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
     bad, good = ["nan", "inf", "0", "-0.0", "1e-400"], ["1.5"] * 40
     data = tmp_path / "data.csv"
     data.write_text("value\n" + "".join(f"{x}\n" for x in (good + bad if part == "child" else bad + good)))
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].count("error: line") == 5
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert reports == []
     if part == "child":
+        # The runs before the failed child's are tallied; its doubles never are.
         assert [child.returncode for child in started] == [0, 1]
+        assert [type(run) for run in tallied] == [list, memoryview]
     else:
         assert len(started) == 2 and 1 not in [child.returncode for child in started]
+        assert tallied == []
 
 
 def test_analyze_reports_on_each_childs_doubles_as_they_arrive(capsys, tmp_path, monkeypatch):
-    # The parent's part is one list; each child's doubles reach the report as
+    # The parent's part is one list; each child's doubles reach the tally as
     # a memoryview, never copied into floats or merged.
     started = in_parts(monkeypatch, 64 << 10)
-    reports = []
-    report = stats._report
-    monkeypatch.setattr(stats, "_report", lambda runs: reports.append(runs) or report(runs))
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
     data = tmp_path / "data.csv"
     data.write_text("".join(f"{x}\n" for x in log_uniform_lines(10_000, 9)))
     assert run_cli(capsys, "analyze", str(data))[0] == 0
-    [runs] = reports
     assert len(started) == 2
-    assert [type(run) for run in runs] == [list, memoryview, memoryview]
-    assert sum(map(len, runs)) == 10_000
+    assert [type(run) for run in tallied] == [list, memoryview, memoryview]
+    assert sum(map(len, tallied)) == 10_000
+
+
+def test_analyze_tallies_its_own_run_before_reading_any_child(capsys, tmp_path, monkeypatch):
+    # The parent's tally overlaps the children's work: it comes before the
+    # first read of a child's stdout, and each child's doubles are tallied
+    # as they arrive.
+    started = in_parts(monkeypatch, 64 << 10)
+    events = []
+    spy_on_tallies(monkeypatch, events)
+    popen = subprocess.Popen
+
+    class LoggedStdout:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def read(self):
+            events.append("read")
+            return self.stream.read()
+
+        def close(self):
+            self.stream.close()
+
+    def start(*args, **kwargs):
+        child = popen(*args, **kwargs)
+        child.stdout = LoggedStdout(child.stdout)
+        return child
+
+    monkeypatch.setattr(subprocess, "Popen", start)
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(10_000, 9)))
+    assert run_cli(capsys, "analyze", str(data))[0] == 0
+    assert len(started) == 2
+    assert [event if event == "read" else type(event) for event in events] == [
+        list, "read", memoryview, "read", memoryview,
+    ]
+
+
+@pytest.mark.parametrize("executable", [None, ""])
+def test_analyze_parses_every_part_itself_without_an_interpreter_to_start(
+    capsys, tmp_path, monkeypatch, executable
+):
+    # An embedded interpreter may leave sys.executable None or empty.
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 5)))
+    expected = run_cli(capsys, "analyze", str(data), "--format", "json")
+    assert expected[0] == 0
+    started = in_parts(monkeypatch, 64)
+    monkeypatch.setattr(sys, "executable", executable)
+    assert run_cli(capsys, "analyze", str(data), "--format", "json") == expected
+    assert started == []
 
 
 def test_analyze_explains_bad_lines_spread_over_the_parts(capsys, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ import os
 import random
 import stat
 import sys
-from pathlib import Path
 
 from . import stats
 from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError, MissingSeedError
@@ -127,7 +126,8 @@ def _generate_seed() -> int:
 def _read_input(path: str) -> str:
     """The text of a dataset or config file: UTF-8, with or without a byte order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -136,81 +136,81 @@ def _read_input(path: str) -> str:
 def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | None):
     """Own a command's outputs, keyed by flag, from refusal to rename.
 
-    On entry, refuse a path that is empty, that could not be written, or that
-    names the same file as another output or the input. A path naming the file
-    of stdout or stderr is written through that stream, and one that exists and
-    is not a regular file, such as /dev/null or a pipe, in place as given; both
-    may be named more than once. Any other goes through a temp file beside its
-    real path, a name made and removed here first. The block puts each text in
-    the yielded dict under its flag (stdout if its path is None). Only a clean
-    exit writes them; the temp files take the permission bits of the files they
-    replace and are renamed once all are written, else removed.
+    On entry one stat of each path, following links, decides it. A path is
+    refused if it is empty or a directory, if the stat fails other than on a
+    missing file (as on a symlink loop), if its directory takes no new file, or
+    if it names the same file as another output or the input. The file on fd 1
+    or 2 goes through that stream, another existing file that is not regular
+    (/dev/null, a pipe) is written in place; both may take several outputs. Any
+    other goes through a temp file beside its real path, tried here first. The
+    block puts each text in the yielded dict by flag (stdout if its path is
+    None). Only a clean exit writes them; temp files take the permission bits of
+    the files they replace and are renamed once all are written, else removed.
     """
     seen = {os.path.realpath(input_path): input_name} if input_path else {}
+    streams = []
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with contextlib.suppress(OSError):
+            streams.append((os.fstat(fd), stream))
     targets: dict[str, object] = {}
     for flag, path in paths.items():
         if path is None:
             continue
         if not path:
             raise ConfigError(f"{flag} names an empty path")
-        real = os.path.realpath(path)
-        if Path(real).is_dir():
+        try:
+            st = os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            st = None
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        if st and stat.S_ISDIR(st.st_mode):
             raise ConfigError(f"cannot write {path}: it is a directory")
-        if not Path(real).parent.is_dir():
-            raise ConfigError(f"cannot write {path}: its directory does not exist")
-        stream = _stream_named(path)
-        in_place = stream is not None or Path(path).exists() and not Path(path).is_file()
-        if real in seen and not in_place:
-            raise ConfigError(f"cannot write {path}: {flag} names the same file as {seen[real]}")
-        seen[real] = flag
-        if in_place:
-            targets[flag] = stream.write if stream else Path(path).write_text
+        stream = next((s for fd_st, s in streams if st and os.path.samestat(st, fd_st)), None)
+        if stream or st and not stat.S_ISREG(st.st_mode):
+            targets[flag] = stream or (path, None)
             continue
-        tmp = Path(real).with_name(f".{Path(real).name}.{os.urandom(4).hex()}.tmp")
+        real = os.path.realpath(path)
+        head, name = os.path.split(real)
+        tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
         try:
             os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
             os.unlink(tmp)
         except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-        targets[flag] = (tmp, Path(real))
+            why = exc.strerror if os.path.isdir(head) else "its directory does not exist"
+            raise ConfigError(f"cannot write {path}: {why}") from None
+        if real in seen:
+            raise ConfigError(f"cannot write {path}: {flag} names the same file as {seen[real]}")
+        seen[real] = flag
+        targets[flag] = (tmp, real)
     texts: dict[str, str] = {}
     yield texts
     made = []
     try:
         for flag, text in texts.items():
-            target = targets.get(flag, sys.stdout.write)
-            if callable(target):
-                target(text)
+            target = targets.get(flag, sys.stdout)
+            if not isinstance(target, tuple):
+                target.write(text)
                 continue
-            tmp, real = target
-            with open(tmp, "x") as f:
-                made.append((tmp, real))
-                if real.exists():
-                    os.chmod(tmp, stat.S_IMODE(real.stat().st_mode))
+            tmp, real = target  # real is None for a file written in place
+            with open(tmp, "x" if real else "w") as f:
+                if real:
+                    made.append(target)
+                    with contextlib.suppress(FileNotFoundError):
+                        os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
                 f.write(text)
         for tmp, real in made:
             os.replace(tmp, real)
     except BaseException:
         for tmp, _ in made:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
-
-
-def _stream_named(path: str):
-    """sys.stdout or sys.stderr if ``path`` names the file open on fd 1 or fd 2, else None."""
-    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
-        with contextlib.suppress(OSError):
-            if os.path.samestat(os.stat(path), os.fstat(fd)):
-                return stream
-    return None
 
 
 def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:
     lines = ["bin,log10_lo,log10_hi,count"]
-    for index, count in bins:
-        lo = index * width
-        hi = lo + width
-        lines.append(f"{index},{lo:.6g},{hi:.6g},{count}")
+    lines += (f"{i},{i * width:.6g},{i * width + width:.6g},{count}" for i, count in bins)
     return "\n".join(lines) + "\n"
 
 
@@ -223,7 +223,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     line number and exit code comes from that one parser.
     """
     with _outputs({"--out": args.out}, "the input", args.input) as texts:
-        report = _analyze_plain_numbers(args.input) if Path(args.input).is_file() else None
+        report = _analyze_plain_numbers(args.input) if os.path.isfile(args.input) else None
         if report is None:
             values, bad_lines = _parse_dataset(_read_input(args.input))
             if bad_lines:

@@ -106,17 +106,16 @@ def test_run_generates_and_reports_a_seed_when_omitted(capsys, tmp_path, monkeyp
     cfg = tmp_path / "noseed.cfg"
     cfg.write_text("ball_count = 10\ninitial_value = 1\ncycles = 30\npolicy = uniform\n")
     reads = []
-    read_text = Path.read_text
 
-    def counted_read_text(path, *args, **kwargs):
+    def counted_open(path, *args, **kwargs):
         reads.append(path)
-        return read_text(path, *args, **kwargs)
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", counted_read_text)
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 0
     assert "seed: " in err
-    assert reads == [cfg]  # the file without a seed key is read once
+    assert reads == [str(cfg)]  # the file without a seed key is read once
 
     code, out, err = run_cli(capsys, "run", "--preset", "Small_100")
     assert code == 0
@@ -391,14 +390,17 @@ def test_empty_output_path_exits_2_before_running(capsys, tmp_path, command, fla
             "--out {tmp}/t.csv --emit-values /proc/v.txt", "/proc/v.txt: No such file or directory",
             marks=pytest.mark.skipif(sys.platform != "linux", reason="needs the /proc of Linux"),
         ),
+        ("--out {tmp}/t.csv --emit-values {tmp}/loop2", "{tmp}/loop2: Too many levels of symbolic links"),
     ],
-    ids=["symlink-into-missing-directory", "directory-that-takes-no-new-file"],
+    ids=["symlink-into-missing-directory", "directory-that-takes-no-new-file", "symlink-loop"],
 )
 def test_output_the_write_would_fail_on_exits_2_before_running(capsys, tmp_path, outputs, refused):
-    (tmp_path / "link.csv").symlink_to(tmp_path / "missing" / "t.csv")
+    links = {"link.csv": tmp_path / "missing" / "t.csv", "loop1": tmp_path / "loop2", "loop2": tmp_path / "loop1"}
+    for name, target in links.items():
+        (tmp_path / name).symlink_to(target)
     argv = ["run", "--preset", "C", "--seed", "1", *outputs.format(tmp=tmp_path).split()]
     assert run_cli(capsys, *argv) == (2, "", f"error: cannot write {refused.format(tmp=tmp_path)}\n")
-    assert list(tmp_path.iterdir()) == [tmp_path / "link.csv"]
+    assert {p.name: Path(os.readlink(p)) for p in tmp_path.iterdir()} == links
 
 
 @OUTPUT_FLAGS
@@ -603,6 +605,27 @@ def test_outputs_keep_the_file_mode_links_and_pipes(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "hist.csv", "link.csv", "real.csv", "reference", "values.fifo",
     ]
+
+
+@pytest.mark.parametrize("existing, most", [(False, 11), (True, 8)], ids=["new-files", "existing-files"])
+def test_outputs_stat_each_path_once(tmp_path, monkeypatch, existing, most):
+    # One stat of each path decides it, fds 1 and 2 are stat'ed once each, and
+    # one stat at exit gives each replaced file's mode.
+    paths = {flag: str(tmp_path / flag[2:]) for flag in ("--out", "--emit-values", "--emit-hist")}
+    for path in paths.values() if existing else ():
+        Path(path).write_text("old\n")
+    calls = []
+
+    def counted(call):
+        return lambda *args, **kwargs: calls.append(call.__name__) or call(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "stat", counted(os.stat))
+        m.setattr(os, "fstat", counted(os.fstat))
+        with cli._outputs(paths, "the input", None) as texts:
+            texts.update(dict.fromkeys(paths, "new\n"))
+    assert len(calls) <= most, calls
+    assert sorted(p.read_text() for p in tmp_path.iterdir()) == ["new\n"] * 3
 
 
 def test_overwritten_outputs_keep_their_permission_bits(capsys, tmp_path):
@@ -1092,6 +1115,7 @@ def test_import_and_a_small_analyze_load_no_subprocess():
     src = str(Path(cli.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); from benfordsim import cli; "
+        "print('pathlib' in sys.modules); "
         "print('subprocess' in sys.modules); cli.main(['analyze', sys.argv[1]]); "
         "print('subprocess' in sys.modules)"
     )
@@ -1099,7 +1123,7 @@ def test_import_and_a_small_analyze_load_no_subprocess():
         [sys.executable, "-S", "-c", code, EARTHQUAKE_CSV], capture_output=True, text=True, check=True
     )
     lines = out.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False", "False")
+    assert (lines[0], lines[1], lines[-1]) == ("False", "False", "False")
     assert "n,40" in lines
 
 

@@ -6,12 +6,12 @@ import argparse
 import contextlib
 import functools
 import io
-import json
 import math
 import os
 import random
 import stat
 import sys
+from array import array
 
 from . import stats
 from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError, MissingSeedError
@@ -238,29 +238,23 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 # The least a part of the file handed to a child interpreter holds. Starting
-# one with -I -S takes ~25-40 ms, and float() and sort take ~40 ns a byte of
-# 17-digit numerals, so a part of 4 MiB pays ~170 ms of work for it.
+# one with -I -S takes ~25-40 ms, and float() takes ~28 ns a byte of
+# 17-digit numerals, so a part of 4 MiB pays ~120 ms of work for it.
 _PART_BYTES = 4 << 20
 
-# A child's program: the doubles of one part of the file open on its stdin,
-# sorted, in machine order on stdout. It maps the file rather than reading
-# it, so it moves no file offset it shares with the parent. It exits 1 on a
-# line float() rejects, or on a value that is not positive and finite, as
-# stats._is_positive_run checks a run, before it writes anything. It sums the
-# contiguous array, not the sorted list whose floats lie all over the heap
-# (~8 against ~23 ms for 500,000), and ends with os._exit, as the parent reads
-# to EOF and a normal exit first frees each float (~70 ms).
+# A child's program: the doubles of one part of the file open on its stdin, in
+# file order and machine byte order, on stdout. It maps the file rather than
+# reading it, so it moves no file offset it shares with the parent, and exits
+# 1 on a line float() rejects. The parent checks the values once they are
+# sorted. It ends with os._exit, as the parent reads to EOF and a normal exit
+# comes ~6 ms later.
 _PART_CODE = """\
 import io, mmap, os, sys
 from array import array
 offset, length = int(sys.argv[1]), int(sys.argv[2])
 with mmap.mmap(0, offset + length, access=mmap.ACCESS_READ) as m:
     lines = io.BytesIO(m[offset:offset + length])
-xs = sorted(map(float, lines))
-doubles = array("d", xs)
-if doubles and not (0.0 < doubles[0] and doubles[-1] <= sys.float_info.max and sum(doubles) > 0.0):
-    sys.exit(1)
-sys.stdout.buffer.write(doubles)
+sys.stdout.buffer.write(array("d", map(float, lines)))
 sys.stdout.flush()
 os._exit(0)
 """
@@ -277,7 +271,7 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
     The first line is decoded as ``_read_input`` decodes a file and goes
     through ``_parse_dataset``, which decides whether it is a header; a bad
     first line gives None. Every later line goes to ``float`` as bytes, and a
-    part with a zero, negative, inf or NaN value gives None. This gives
+    zero, negative, inf or NaN value gives None. This gives
     ``_parse_dataset``'s values exactly: a line of bytes that ``float``
     accepts is one number padded with ASCII whitespace, so it decodes as it
     is and each piece ``str.splitlines`` cuts from it is blank or that
@@ -285,15 +279,10 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
     number here, so it is data to ``_parse_dataset`` too.
 
     The later lines are cut at line starts into one part per available CPU,
-    each of at least ``_PART_BYTES``. This process parses the first part, and
-    a child interpreter each other one (or this process, if it cannot be
-    started); each sorts and checks its values. ``stats._report`` takes the
-    sorted runs as they are, a child's as a ``memoryview`` of its doubles, so
-    the report is the same whatever the cut. It tallies this process's run
-    before it reads any child's, while the children are still parsing. A
-    child that fails gives None; none outlives this call.
+    each of at least ``_PART_BYTES``. One part is parsed into a list and
+    sorted there, so a small file never loads numpy; more go to
+    ``_sort_parts``. Only the sorted values are checked.
     """
-    children = []
     try:
         with open(path, "rb") as f:
             head = f.readline().decode("utf-8-sig")
@@ -302,37 +291,56 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
                 return None
             start, end = f.tell(), os.fstat(f.fileno()).st_size
             count = max(1, min(_available_cpus(), (end - start) // _PART_BYTES))
-            cuts = [start]
-            for k in range(1, count):  # the first line start at or after k/count of the rest
-                f.seek(start + (end - start) * k // count - 1)
-                f.readline()
-                cuts.append(f.tell())
-            parts = [(a, b - a) for a, b in zip(cuts, [*cuts[1:], end])]
-            own = parts[:1]
-            for part in parts[1:]:
-                child = _start_child(f, *part)
-                if child is None:
-                    own.append(part)
-                else:
-                    children.append(child)
-            for offset, length in own:
-                f.seek(offset)
-                values += map(float, io.BytesIO(f.read(length)))
-            values.sort()
-            if not stats._is_positive_run(values):
-                return None
-
-        def runs():  # this process's run is tallied while the children still work
-            yield values
-            for child in children:
-                doubles = child.stdout.read()
-                if child.wait() != 0:
-                    raise ValueError(f"child {child.pid} failed")
-                yield memoryview(doubles).cast("d")
-
-        return stats._report(runs())
+            if count == 1:
+                values += map(float, io.BytesIO(f.read(end - start)))
+                values.sort()
+            else:
+                values = _sort_parts(f, values, start, end, count)
+        if not stats._is_positive_run(values):
+            return None
+        return stats._report(values)
     except ValueError:  # also a UnicodeDecodeError, and the EmptyDataError of no values
         return None
+
+
+def _sort_parts(f: io.BufferedReader, head: list[float], start: int, end: int, count: int) -> memoryview:
+    """The values of ``head`` and of the lines of ``f`` from ``start`` to
+    ``end``, sorted by numpy, as a ``memoryview`` of doubles.
+
+    The lines are cut at line starts into ``count`` parts. This process
+    parses the first, and a child interpreter each other one (or this
+    process, if it cannot be started), each into contiguous doubles, which
+    are sorted together once. A line ``float`` rejects, in any part, raises
+    ``ValueError``; no child outlives this call.
+    """
+    children = []
+    try:
+        cuts = [start]
+        for k in range(1, count):  # the first line start at or after k/count of the rest
+            f.seek(start + (end - start) * k // count - 1)
+            f.readline()
+            cuts.append(f.tell())
+        parts = [(a, b - a) for a, b in zip(cuts, [*cuts[1:], end])]
+        own = parts[:1]
+        for part in parts[1:]:
+            child = _start_child(f, *part)
+            if child is None:
+                own.append(part)
+            else:
+                children.append(child)
+        import numpy  # 0.1-0.14 s on a cold start, while the children parse
+
+        doubles = [array("d", head)]
+        for offset, length in own:
+            f.seek(offset)
+            doubles[0].extend(map(float, io.BytesIO(f.read(length))))
+        for child in children:
+            doubles.append(child.stdout.read())
+            if child.wait() != 0:
+                raise ValueError(f"child {child.pid} failed")
+        values = numpy.concatenate([numpy.frombuffer(part) for part in doubles])
+        values.sort()  # NaN last, so stats._is_positive_run still holds
+        return memoryview(values)
     finally:
         for child in children:
             child.kill()
@@ -393,6 +401,8 @@ def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
 
 def _render_analysis(report: stats.BenfordReport, format: str) -> str:
     if format == "json":
+        import json
+
         payload = {
             "n": report.n,
             "counts": list(report.counts),

@@ -3,20 +3,18 @@
 Provides the building blocks for judging how Benford-like a dataset is: the
 sum of squared deviations of first-digit percentages from the Benford
 percentages (SSD), quantiles with linear interpolation, and base-10 log
-histograms as (bin index, count) pairs. A report is built from ascending
-runs of the dataset, which ``analyze`` makes with one sort: they give the
-90th/10th percentile ratio (QTM), the classical log10(max/min) order of
-magnitude (OOM) and, through ``digits.tally_digits``, which bisects the digit
-boundaries of the decades a run spans into it, the first-digit counts. Each
-number is a function of the values alone, so any cut into runs gives it.
+histograms as (bin index, count) pairs. A report is built from the dataset
+sorted once: it gives the 90th/10th percentile ratio (QTM), the classical
+log10(max/min) order of magnitude (OOM) and, through ``digits.tally_digits``,
+which bisects the digit boundaries of the decades the values span into them,
+the first-digit counts.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .digits import tally_digits
 from .errors import DomainError, EmptyDataError
@@ -115,7 +113,7 @@ def analyze(values: Sequence[float]) -> BenfordReport:
     xs = sorted(values)
     if not _is_positive_run(xs):
         raise _first_bad_value(values)
-    return _report([xs])
+    return _report(xs)
 
 
 def _is_positive_run(xs: Sequence[float]) -> bool:
@@ -129,65 +127,38 @@ def _is_positive_run(xs: Sequence[float]) -> bool:
         return all(x == x for x in xs)
 
 
-def _report(runs: Iterable[Sequence[float]]) -> BenfordReport:
-    """The report of the values of ascending ``runs`` together, each one that
-    ``_is_positive_run`` accepts; a run may be empty or a ``memoryview``. Each
-    run is tallied as it comes, so ``runs`` may be a generator that waits."""
-    tallied = [(run, tally_digits(run)) for run in filter(len, runs)]
-    if not tallied:
+def _report(xs: Sequence[float]) -> BenfordReport:
+    """The report of ascending ``xs``, which ``_is_positive_run`` accepts;
+    ``xs`` may be a ``memoryview`` of doubles."""
+    n = len(xs)
+    if not n:
         raise EmptyDataError("dataset is empty")
-    runs, tallies = zip(*tallied)
-    counts = tuple(map(sum, zip(*tallies)))
-    n = sum(map(len, runs))
+    counts = tally_digits(xs)
     props = tuple(100.0 * c / n for c in counts)
-    q10 = _quantile(runs, n, 0.1)
-    q90 = _quantile(runs, n, 0.9)
+    q10 = _quantile(xs, 0.1)
+    q90 = _quantile(xs, 0.9)
     return BenfordReport(
         proportions_pct=props,
         ssd=ssd(props),
         q10=q10,
         q90=q90,
         qtm=q90 / q10,
-        oom=math.log10(max(run[-1] for run in runs) / min(run[0] for run in runs)),
+        oom=math.log10(xs[-1] / xs[0]),
         n=n,
         counts=counts,
     )
 
 
-def _quantile(runs: Sequence[Sequence[float]], n: int, q: float) -> float:
-    """Quantile of the n values of ``runs`` by linear interpolation between
+def _quantile(xs: Sequence[float], q: float) -> float:
+    """Quantile of non-empty ascending ``xs`` by linear interpolation between
     closest ranks.
 
-    With h = (n - 1) * q the result interpolates between the values of ranks
-    floor(h) and floor(h) + 1; q=0 gives the minimum and q=1 the maximum.
+    With h = (len(xs) - 1) * q the result interpolates between the values of
+    ranks floor(h) and floor(h) + 1; q=0 gives the minimum and q=1 the maximum.
     """
-    h = (n - 1) * q
+    h = (len(xs) - 1) * q
     lo = math.floor(h)
-    a = _select(runs, lo)
-    if lo + 1 >= n:
+    a = xs[lo]
+    if lo + 1 >= len(xs):
         return a
-    return a + (h - lo) * (_select(runs, lo + 1) - a)
-
-
-def _select(runs: Sequence[Sequence[float]], k: int) -> float:
-    """The value of rank k, from 0, among the values of non-empty ascending
-    ``runs``.
-
-    One run is indexed directly: staged runs make many small reports, and
-    the halving below costs ~150 us a select. Across runs of doubles it is
-    the least positive double with more than k values at or below it.
-    Positive doubles order as their bit patterns do, so halving over the
-    bits 1 .. 0x7FEFFFFFFFFFFFFF finds it in at most 63 steps, each one
-    ``bisect_right`` per run.
-    """
-    if len(runs) == 1:
-        return runs[0][k]
-    lo, hi = 1, 0x7FEFFFFFFFFFFFFF
-    while lo < hi:
-        mid = (lo + hi) // 2
-        x = memoryview(mid.to_bytes(8, sys.byteorder)).cast("d")[0]
-        if sum(bisect_right(run, x) for run in runs) > k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return memoryview(lo.to_bytes(8, sys.byteorder)).cast("d")[0]
+    return a + (h - lo) * (xs[lo + 1] - a)

@@ -11,6 +11,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benfordsim import cli, stats
@@ -939,6 +940,43 @@ def test_analyze_in_tiny_parts_gives_the_line_parsers_output(capsys, tmp_path, m
     assert len(started) > 30
 
 
+def doubles_next_to_digit_boundaries(ulps=3):
+    """Every double within ``ulps`` ulps of d * 10**k, for d = 1..9 and every
+    decade of doubles, the least subnormals and those next to the least normal
+    and the largest double."""
+    centers = [float(f"{d}e{k}") for k in range(-324, 309) for d in range(1, 10)]
+    centers += [5e-324 * m for m in range(1, 10)] + [sys.float_info.min, sys.float_info.max]
+    found = set()
+    for center in filter(lambda x: 0.0 < x < math.inf, centers):
+        for toward in (0.0, math.inf):
+            x = center
+            for _ in range(ulps + 1):
+                if 0.0 < x < math.inf:
+                    found.add(x)
+                x = math.nextafter(x, toward)
+    return sorted(found)
+
+
+def test_analyze_in_parts_gives_the_one_part_output_next_to_every_digit_boundary(
+    capsys, tmp_path, monkeypatch
+):
+    # Each value is in the file twice, once in each half, so most values are
+    # in two parts; numpy's sort must give exactly what list.sort gives.
+    values = doubles_next_to_digit_boundaries()
+    rng = random.Random(19)
+    lines = [repr(x) for x in rng.sample(values, len(values)) + rng.sample(values, len(values))]
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{line}\n" for line in lines))
+    one_part = [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")]
+    assert one_part[0][0] == 0 and f"n,{len(lines)}" in one_part[0][1]
+    started = in_parts(monkeypatch, 64 << 10)
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
+    assert [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")] == one_part
+    assert len(started) == 4 and {child.returncode for child in started} == {0}
+    assert [type(run) for run in tallied] == [memoryview, memoryview]
+
+
 def test_analyze_explains_bad_lines_in_a_childs_part(capsys, tmp_path, monkeypatch):
     started = in_parts(monkeypatch, 16)
     data = tmp_path / "data.csv"
@@ -959,8 +997,8 @@ def spy_on_tallies(monkeypatch, events):
 @pytest.mark.parametrize("part", ["child", "parent"])
 def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path, monkeypatch, part):
     # float() takes every bad line here (1e-400 is 0.0), so only the check of
-    # the sorted part turns it down: the last part's, in its child, or the
-    # first part's, in this process before anything is tallied.
+    # the one sorted run turns them down, in this process, after every child
+    # has given its doubles and before anything is tallied.
     started = in_parts(monkeypatch, 16)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
@@ -970,62 +1008,23 @@ def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].count("error: line") == 5
     assert run_cli(capsys, "analyze", str(data)) == expected
-    if part == "child":
-        # The runs before the failed child's are tallied; its doubles never are.
-        assert [child.returncode for child in started] == [0, 1]
-        assert [type(run) for run in tallied] == [list, memoryview]
-    else:
-        assert len(started) == 2 and 1 not in [child.returncode for child in started]
-        assert tallied == []
+    assert [child.returncode for child in started] == [0, 0]
+    assert tallied == []
 
 
-def test_analyze_reports_on_each_childs_doubles_as_they_arrive(capsys, tmp_path, monkeypatch):
-    # The parent's part is one list; each child's doubles reach the tally as
-    # a memoryview, never copied into floats or merged.
+def test_analyze_sorts_every_parts_doubles_into_one_run(capsys, tmp_path, monkeypatch):
+    # The parent's part and each child's doubles are sorted together once,
+    # and the report tallies that one run, a memoryview of the doubles.
     started = in_parts(monkeypatch, 64 << 10)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
+    lines = log_uniform_lines(10_000, 9)
     data = tmp_path / "data.csv"
-    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(10_000, 9)))
+    data.write_text("".join(f"{x}\n" for x in lines))
     assert run_cli(capsys, "analyze", str(data))[0] == 0
     assert len(started) == 2
-    assert [type(run) for run in tallied] == [list, memoryview, memoryview]
-    assert sum(map(len, tallied)) == 10_000
-
-
-def test_analyze_tallies_its_own_run_before_reading_any_child(capsys, tmp_path, monkeypatch):
-    # The parent's tally overlaps the children's work: it comes before the
-    # first read of a child's stdout, and each child's doubles are tallied
-    # as they arrive.
-    started = in_parts(monkeypatch, 64 << 10)
-    events = []
-    spy_on_tallies(monkeypatch, events)
-    popen = subprocess.Popen
-
-    class LoggedStdout:
-        def __init__(self, stream):
-            self.stream = stream
-
-        def read(self):
-            events.append("read")
-            return self.stream.read()
-
-        def close(self):
-            self.stream.close()
-
-    def start(*args, **kwargs):
-        child = popen(*args, **kwargs)
-        child.stdout = LoggedStdout(child.stdout)
-        return child
-
-    monkeypatch.setattr(subprocess, "Popen", start)
-    data = tmp_path / "data.csv"
-    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(10_000, 9)))
-    assert run_cli(capsys, "analyze", str(data))[0] == 0
-    assert len(started) == 2
-    assert [event if event == "read" else type(event) for event in events] == [
-        list, "read", memoryview, "read", memoryview,
-    ]
+    assert [type(run) for run in tallied] == [memoryview]
+    assert list(tallied[0]) == sorted(map(float, lines))
 
 
 @pytest.mark.parametrize("executable", [None, ""])
@@ -1110,20 +1109,22 @@ def test_children_read_the_file_analyze_opened(capsys, tmp_path, monkeypatch):
 
 
 def test_import_and_a_small_analyze_load_no_subprocess():
-    # Importing subprocess takes ~10 ms, which only an analyze that starts a
-    # child pays.
+    # Importing subprocess takes ~10 ms and numpy ~0.1 s, which only an
+    # analyze that cuts its file into parts pays, and json only JSON output.
+    # numpy's directory is on the path, so an import of it would succeed.
     src = str(Path(cli.__file__).parents[1])
+    site = str(Path(np.__file__).parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); from benfordsim import cli; "
-        "print('pathlib' in sys.modules); "
-        "print('subprocess' in sys.modules); cli.main(['analyze', sys.argv[1]]); "
-        "print('subprocess' in sys.modules)"
+        f"import sys; sys.path[:0] = [{src!r}]; sys.path.append({site!r}); "
+        "loaded = lambda: sorted({'json', 'numpy', 'pathlib', 'subprocess'} & set(sys.modules)); "
+        "import benfordsim; print(loaded()); from benfordsim import cli; print(loaded()); "
+        "cli.main(['analyze', sys.argv[1]]); print(loaded())"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, EARTHQUAKE_CSV], capture_output=True, text=True, check=True
     )
     lines = out.stdout.splitlines()
-    assert (lines[0], lines[1], lines[-1]) == ("False", "False", "False")
+    assert (lines[0], lines[1], lines[-1]) == ("[]", "[]", "[]")
     assert "n,40" in lines
 
 

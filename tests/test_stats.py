@@ -1,7 +1,6 @@
 import math
 import random
 import sys
-from array import array
 from collections import Counter
 
 import numpy as np
@@ -18,7 +17,7 @@ from benfordsim import (
     log_histogram,
     ssd,
 )
-from benfordsim.stats import _quantile, _report, _select
+from benfordsim.stats import _quantile, _report
 
 EARTHQUAKE_COUNTS = (15, 8, 6, 4, 4, 0, 2, 1, 0)
 EARTHQUAKE_PCT = (37.5, 20.0, 15.0, 10.0, 10.0, 0.0, 5.0, 2.5, 0.0)
@@ -107,7 +106,7 @@ def test_ssd_requires_nine_entries():
 
 
 def quantile(values, q):
-    return _quantile([sorted(values)], len(values), q)
+    return _quantile(sorted(values), q)
 
 
 def test_quantile_interpolation_one_to_ten():
@@ -125,16 +124,11 @@ def test_quantile_extremes_and_singleton():
     assert quantile([2, 9, 4], 1.0) == 9
 
 
-@given(positive_lists, st.floats(min_value=0.0, max_value=1.0), st.randoms(use_true_random=False))
-def test_quantile_matches_numpy_linear(values, q, rng):
+@given(positive_lists, st.floats(min_value=0.0, max_value=1.0))
+def test_quantile_matches_numpy_linear(values, q):
     ours = quantile(values, q)
     theirs = float(np.quantile(np.array(values), q, method="linear"))
     assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-12)
-    runs = [[] for _ in range(rng.randint(2, 4))]
-    for x in values:
-        rng.choice(runs).append(x)
-    across = _quantile([sorted(run) for run in runs if run], len(values), q)
-    assert across == pytest.approx(theirs, rel=1e-12, abs=1e-12)
     report = analyze(values)
     assert (report.q10, report.q90) == (quantile(values, 0.1), quantile(values, 0.9))
 
@@ -318,23 +312,14 @@ def test_analyze_finds_a_nan_that_sorts_between_good_values():
 
 
 # Pools a dataset draws from: few values (ties everywhere, at the q10/q90
-# ranks and at run ends), subnormals next to normal values and the largest
-# double (both ends of the bits ``_select`` halves over), and one value.
-# Every fourth dataset is drawn over the whole range of doubles instead.
+# ranks and at the ends), subnormals next to normal values and the largest
+# double, and one value. Every fourth dataset is drawn over the whole range
+# of doubles instead.
 REPORT_POOLS = [
     [1.5, 2.0, 2.0, 3.0, 7.25],
     [5e-324, 1e-323, 2.2250738585072014e-308, 3e-310, 1e-300, 1.0, 1.7976931348623157e308],
     [1.0],
 ]
-
-
-def random_runs(rng, values):
-    """``values`` dealt into 1 to 12 ascending runs, some empty, some memoryviews."""
-    runs = [[] for _ in range(rng.randint(1, 12))]
-    for x in values:
-        rng.choice(runs).append(x)
-    runs = [sorted(run) for run in runs]
-    return [memoryview(array("d", run)) if rng.random() < 0.5 else run for run in runs]
 
 
 def random_dataset(rng, case):
@@ -347,23 +332,17 @@ def random_dataset(rng, case):
     return [rng.choice(pool) for _ in range(n)]
 
 
-def test_report_of_any_cut_into_runs_is_the_analysis_of_the_whole():
+def test_report_of_the_values_sorted_by_numpy_is_their_analysis():
+    # A large file's values reach _report as a memoryview of doubles that
+    # numpy sorted, not as a list that list.sort sorted.
     rng = random.Random(505)
     for case in range(300):
         values = random_dataset(rng, case)
-        runs = random_runs(rng, values)
-        assert _report(runs) == analyze(values), (values, [list(run) for run in runs])
+        doubles = np.array(values)
+        doubles.sort()
+        assert _report(memoryview(doubles)) == analyze(values), values
     with pytest.raises(EmptyDataError):
-        _report([[], memoryview(array("d"))])
-
-
-def test_select_across_runs_gives_every_rank_of_the_sorted_values():
-    rng = random.Random(1505)
-    for case in range(200):
-        values = random_dataset(rng, case)
-        runs = list(filter(len, random_runs(rng, values)))
-        ranks = [_select(runs, k) for k in range(len(values))]
-        assert ranks == sorted(values), (values, [list(run) for run in runs])
+        _report(memoryview(np.array([])))
 
 
 def test_analyze_reports_a_zero_before_an_earlier_negative():

@@ -237,31 +237,21 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         texts["--out"] = _render_analysis(report, args.format)
 
 
-# The least a part of the file handed to a child interpreter holds. Starting
-# one with -I -S takes ~25-40 ms, and float() takes ~28 ns a byte of
-# 17-digit numerals, so a part of 4 MiB pays ~120 ms of work for it.
-_PART_BYTES = 4 << 20
+# A file whose lines after the first hold this many bytes or more is parsed by
+# orjson, ~1 MiB of whole lines at a time, and sorted by numpy; a smaller one
+# loads neither. Chunks keep few of orjson's floats alive at once: one
+# orjson.loads of a whole 10^6-line file raised the peak memory by ~10 MB.
+_BULK_BYTES = 8 << 20
+_CHUNK_BYTES = 1 << 20
 
-# A child's program: the doubles of one part of the file open on its stdin, in
-# file order and machine byte order, on stdout. It maps the file rather than
-# reading it, so it moves no file offset it shares with the parent, and exits
-# 1 on a line float() rejects. The parent checks the values once they are
-# sorted. It ends with os._exit, as the parent reads to EOF and a normal exit
-# comes ~6 ms later.
-_PART_CODE = """\
-import io, mmap, os, sys
-from array import array
-offset, length = int(sys.argv[1]), int(sys.argv[2])
-with mmap.mmap(0, offset + length, access=mmap.ACCESS_READ) as m:
-    lines = io.BytesIO(m[offset:offset + length])
-sys.stdout.buffer.write(array("d", map(float, lines)))
-sys.stdout.flush()
-os._exit(0)
-"""
-
-
-def _available_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Maps a chunk of lines to the items of one JSON array: each newline becomes a
+# comma, and each byte outside 0-9 + - . e E space \t \r an "x", which no JSON
+# text holds outside a string, nor does the quote that would open one. So
+# orjson reads a chunk only if each of its lines is one JSON number padded with
+# JSON whitespace, and float() takes every JSON number to the same double.
+_AS_JSON_ITEMS = bytes(
+    b if b in b"0123456789+-.eE \t\r" else ord(",") if b == ord("\n") else ord("x") for b in range(256)
+)
 
 
 def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
@@ -270,18 +260,16 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
 
     The first line is decoded as ``_read_input`` decodes a file and goes
     through ``_parse_dataset``, which decides whether it is a header; a bad
-    first line gives None. Every later line goes to ``float`` as bytes, and a
-    zero, negative, inf or NaN value gives None. This gives
-    ``_parse_dataset``'s values exactly: a line of bytes that ``float``
-    accepts is one number padded with ASCII whitespace, so it decodes as it
-    is and each piece ``str.splitlines`` cuts from it is blank or that
-    number. After a blank first line, the first line that is not blank is a
-    number here, so it is data to ``_parse_dataset`` too.
-
-    The later lines are cut at line starts into one part per available CPU,
-    each of at least ``_PART_BYTES``. One part is parsed into a list and
-    sorted there, so a small file never loads numpy; more go to
-    ``_sort_parts``. Only the sorted values are checked.
+    first line gives None. Every later line goes to ``float`` as bytes, or
+    from ``_BULK_BYTES`` up to orjson through ``_sort_bulk``, and a zero,
+    negative, inf or NaN value gives None. This gives ``_parse_dataset``'s
+    values exactly: a line of bytes that ``float`` accepts is one number
+    padded with ASCII whitespace, so it decodes as it is and each piece
+    ``str.splitlines`` cuts from it is blank or that number. After a blank
+    first line, the first line that is not blank is a number here, so it is
+    data to ``_parse_dataset`` too. A small file's values are sorted as a
+    list, so it never loads numpy or orjson. Only the sorted values are
+    checked.
     """
     try:
         with open(path, "rb") as f:
@@ -289,83 +277,48 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
             values, bad_lines = _parse_dataset(head)
             if bad_lines:
                 return None
-            start, end = f.tell(), os.fstat(f.fileno()).st_size
-            count = max(1, min(_available_cpus(), (end - start) // _PART_BYTES))
-            if count == 1:
-                values += map(float, io.BytesIO(f.read(end - start)))
-                values.sort()
-            else:
-                values = _sort_parts(f, values, start, end, count)
+            size = os.fstat(f.fileno()).st_size - f.tell()
+            if size >= _BULK_BYTES:
+                return stats._report(_sort_bulk(f, values))
+            values += map(float, io.BytesIO(f.read(size)))
+        values.sort()
         if not stats._is_positive_run(values):
             return None
         return stats._report(values)
-    except ValueError:  # also a UnicodeDecodeError, and the EmptyDataError of no values
+    except ValueError:  # also UnicodeDecodeError, orjson's JSONDecodeError and EmptyDataError
         return None
 
 
-def _sort_parts(f: io.BufferedReader, head: list[float], start: int, end: int, count: int) -> memoryview:
-    """The values of ``head`` and of the lines of ``f`` from ``start`` to
-    ``end``, sorted by numpy, as a ``memoryview`` of doubles.
+def _sort_bulk(f: io.BufferedReader, head: list[float]) -> memoryview:
+    """The values of ``head`` and of the rest of the lines of ``f``, sorted by
+    numpy, as a ``memoryview`` of doubles.
 
-    The lines are cut at line starts into ``count`` parts. This process
-    parses the first, and a child interpreter each other one (or this
-    process, if it cannot be started), each into contiguous doubles, which
-    are sorted together once. A line ``float`` rejects, in any part, raises
-    ``ValueError``; no child outlives this call.
+    Each chunk of whole lines is mapped by ``_AS_JSON_ITEMS`` and read as one
+    JSON array by orjson into one ``array("d")``, which numpy sorts in place.
+    A line inside a chunk that is not one JSON number (``.5``, ``1,5``,
+    ``1e999``, a blank line), or a sorted run whose ends are not positive and
+    finite, raises ``ValueError``; numpy sorts NaN last, though orjson gives
+    none. A chunk that is one blank line gives no values, as
+    ``_parse_dataset`` skips it.
     """
-    children = []
-    try:
-        cuts = [start]
-        for k in range(1, count):  # the first line start at or after k/count of the rest
-            f.seek(start + (end - start) * k // count - 1)
-            f.readline()
-            cuts.append(f.tell())
-        parts = [(a, b - a) for a, b in zip(cuts, [*cuts[1:], end])]
-        own = parts[:1]
-        for part in parts[1:]:
-            child = _start_child(f, *part)
-            if child is None:
-                own.append(part)
-            else:
-                children.append(child)
-        import numpy  # 0.1-0.14 s on a cold start, while the children parse
+    import numpy  # ~0.1 s on a cold start
+    import orjson
 
-        doubles = [array("d", head)]
-        for offset, length in own:
-            f.seek(offset)
-            doubles[0].extend(map(float, io.BytesIO(f.read(length))))
-        for child in children:
-            doubles.append(child.stdout.read())
-            if child.wait() != 0:
-                raise ValueError(f"child {child.pid} failed")
-        values = numpy.concatenate([numpy.frombuffer(part) for part in doubles])
-        values.sort()  # NaN last, so stats._is_positive_run still holds
-        return memoryview(values)
-    finally:
-        for child in children:
-            child.kill()
-            child.stdout.close()
-            child.wait()
-
-
-def _start_child(file: io.BufferedReader, offset: int, length: int):
-    """A child interpreter running ``_PART_CODE`` on one part of the open
-    ``file``, or None if it cannot be started or ``sys.executable`` is empty
-    or None. The child gets the file as its stdin, not by name, so it reads
-    the file this process opened even if the path is replaced meanwhile. Only
-    here is ``subprocess`` imported (~10 ms), so a run or a small file never
-    pays for it."""
-    if not sys.executable:
-        return None
-    import subprocess
-
-    try:
-        return subprocess.Popen(
-            [sys.executable, "-I", "-S", "-c", _PART_CODE, str(offset), str(length)],
-            stdin=file, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        )
-    except OSError:
-        return None
+    doubles = array("d", head)
+    while chunk := f.read(_CHUNK_BYTES):
+        text = bytearray(b"\n")  # "\n" + lines + "\n" -> "," + items + "," -> "[" + items + "]"
+        text += chunk
+        text += f.readline()
+        if text[-1] != ord("\n"):  # the last line of a file that does not end in one
+            text += b"\n"
+        text = text.translate(_AS_JSON_ITEMS)
+        text[0], text[-1] = ord("["), ord("]")
+        doubles.extend(orjson.loads(text))
+    values = numpy.frombuffer(doubles)
+    values.sort()
+    if not (values.size and 0.0 < values[0] and values[-1] <= sys.float_info.max):
+        raise ValueError("a value is not positive and finite")
+    return memoryview(values)
 
 
 def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:

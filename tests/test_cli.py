@@ -1,5 +1,7 @@
+import decimal
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,9 +11,11 @@ import stat
 import subprocess
 import sys
 import threading
+from array import array
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from benfordsim import cli, stats
@@ -795,9 +799,13 @@ def test_analyze_unreadable_file_exits_2(capsys):
     assert "error" in err
 
 
-def test_analyze_empty_file_is_an_error(capsys, tmp_path):
+def test_analyze_empty_file_is_an_error(capsys, tmp_path, monkeypatch):
     data = tmp_path / "empty.csv"
     for text in ("", "value\n"):
+        data.write_text(text)
+        assert run_cli(capsys, "analyze", str(data)) == (1, "", f"error: {data}: no data values found\n")
+    in_bulk(monkeypatch)  # the one chunk after the header holds no value
+    for text in ("value\n\n", "value\n \t\r\n", "value\n  "):
         data.write_text(text)
         assert run_cli(capsys, "analyze", str(data)) == (1, "", f"error: {data}: no data values found\n")
 
@@ -832,40 +840,35 @@ GOLDEN_ANALYZE_DIGESTS = {
 }
 
 
-def in_parts(monkeypatch, part_bytes, cpus=3):
-    """Make `analyze` cut a file into parts of at least ``part_bytes`` as if
-    ``cpus`` CPUs were available; returns the list of the children it starts."""
-    monkeypatch.setattr(cli, "_PART_BYTES", part_bytes)
-    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
-    started = []
-    popen = subprocess.Popen
-
-    def spy(*args, **kwargs):
-        started.append(popen(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", spy)
-    return started
+def in_bulk(monkeypatch, bulk_bytes=1, chunk_bytes=64 << 10):
+    """Make `analyze` parse the lines after the first of a file in chunks of
+    ``chunk_bytes`` through orjson and numpy once they hold ``bulk_bytes``."""
+    monkeypatch.setattr(cli, "_BULK_BYTES", bulk_bytes)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
 
 
-# The 100,000-line datasets (~2.4 MB) are one part at the default part size
-# and three, two of them in children, at 64 KiB.
+# The 100,000-line datasets (~2.4 MB) are sorted as a list at the default bulk
+# size; every dataset is sorted by numpy, read in 64 KiB chunks, in the second
+# case.
 @pytest.mark.parametrize(
-    "dataset, format, part_bytes",
+    "dataset, format, bulk",
     [
-        pytest.param(dataset, format, part_bytes, id=f"{dataset}-{format}{suffix}")
+        pytest.param(dataset, format, bulk, id=f"{dataset}-{format}{suffix}")
         for dataset, format in sorted(GOLDEN_ANALYZE_DIGESTS)
-        for part_bytes, suffix in ((cli._PART_BYTES, ""), (64 << 10, "-64KiB_parts"))
+        for bulk, suffix in ((False, ""), (True, "-64KiB_parts"))
     ],
 )
-def test_analyze_output_matches_golden_digest(capsys, tmp_path, monkeypatch, dataset, format, part_bytes):
-    started = in_parts(monkeypatch, part_bytes)
+def test_analyze_output_matches_golden_digest(capsys, tmp_path, monkeypatch, dataset, format, bulk):
+    if bulk:
+        in_bulk(monkeypatch)
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
     data = tmp_path / "data.csv"
     data.write_bytes(ANALYZE_DATASETS[dataset]().encode())
     code, out, err = run_cli(capsys, "analyze", str(data), "--format", format)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE_DIGESTS[dataset, format]
-    assert len(started) == (2 if dataset != "earthquake" and part_bytes == 64 << 10 else 0)
+    assert [type(run) for run in tallied] == [memoryview if bulk else list]
 
 
 # Lines of numbers, mostly clean, with every shape the dataset parser treats
@@ -929,15 +932,19 @@ def test_analyze_fast_path_gives_the_line_parsers_output(capsys, tmp_path):
 
 
 def test_analyze_in_tiny_parts_gives_the_line_parsers_output(capsys, tmp_path, monkeypatch):
-    started = in_parts(monkeypatch, 4)
+    # Chunks of one to eight bytes, each stretched to a line end, so that a
+    # chunk boundary falls after every line of some file.
     rng = random.Random(1505)
     path = str(tmp_path / "data.csv")
-    for _ in range(60):
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
+    for _ in range(1000):
+        in_bulk(monkeypatch, rng.randrange(1, 5), rng.randrange(1, 9))
         Path(path).write_bytes(fuzz_dataset(rng))
         format = rng.choice(["csv", "json"])
         expected = analyze_by_the_line_parser(path, format)
         assert run_cli(capsys, "analyze", path, "--format", format) == expected, Path(path).read_bytes()
-    assert len(started) > 30
+    assert sum(type(run) is memoryview for run in tallied) > 100
 
 
 def doubles_next_to_digit_boundaries(ulps=3):
@@ -961,7 +968,7 @@ def test_analyze_in_parts_gives_the_one_part_output_next_to_every_digit_boundary
     capsys, tmp_path, monkeypatch
 ):
     # Each value is in the file twice, once in each half, so most values are
-    # in two parts; numpy's sort must give exactly what list.sort gives.
+    # in two chunks; numpy's sort must give exactly what list.sort gives.
     values = doubles_next_to_digit_boundaries()
     rng = random.Random(19)
     lines = [repr(x) for x in rng.sample(values, len(values)) + rng.sample(values, len(values))]
@@ -969,23 +976,22 @@ def test_analyze_in_parts_gives_the_one_part_output_next_to_every_digit_boundary
     data.write_text("".join(f"{line}\n" for line in lines))
     one_part = [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")]
     assert one_part[0][0] == 0 and f"n,{len(lines)}" in one_part[0][1]
-    started = in_parts(monkeypatch, 64 << 10)
+    in_bulk(monkeypatch)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
     assert [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")] == one_part
-    assert len(started) == 4 and {child.returncode for child in started} == {0}
     assert [type(run) for run in tallied] == [memoryview, memoryview]
 
 
 def test_analyze_explains_bad_lines_in_a_childs_part(capsys, tmp_path, monkeypatch):
-    started = in_parts(monkeypatch, 16)
+    # The bad lines are all in the last 16-byte chunk.
+    in_bulk(monkeypatch, chunk_bytes=16)
     data = tmp_path / "data.csv"
     data.write_text("value\n" + "1.5\n" * 40 + "-3\nnan\nwat\n")
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].count("error: line") == 3
     assert run_cli(capsys, "analyze", str(data)) == expected
-    # The bad lines are all in the last part, and "wat" fails its child.
-    assert [child.returncode for child in started] == [0, 1]
+    assert cli._analyze_plain_numbers(str(data)) is None
 
 
 def spy_on_tallies(monkeypatch, events):
@@ -996,10 +1002,11 @@ def spy_on_tallies(monkeypatch, events):
 
 @pytest.mark.parametrize("part", ["child", "parent"])
 def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path, monkeypatch, part):
-    # float() takes every bad line here (1e-400 is 0.0), so only the check of
-    # the one sorted run turns them down, in this process, after every child
-    # has given its doubles and before anything is tallied.
-    started = in_parts(monkeypatch, 16)
+    # float() takes every bad line here (1e-400 is 0.0), whether they are the
+    # last lines of the file ("child") or the first ("parent"). orjson turns
+    # down nan and inf, and the check of the ends of the one sorted run the
+    # rest, before anything is tallied.
+    in_bulk(monkeypatch, chunk_bytes=16)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
     bad, good = ["nan", "inf", "0", "-0.0", "1e-400"], ["1.5"] * 40
@@ -1008,45 +1015,32 @@ def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].count("error: line") == 5
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert [child.returncode for child in started] == [0, 0]
     assert tallied == []
+    for value in ("0", "-0.0", "1e-400"):  # each alone reaches the check
+        data.write_text("".join(f"{x}\n" for x in ["1.5"] * 40 + [value]))
+        with pytest.raises(ValueError, match="not positive and finite"):
+            with open(data, "rb") as f:
+                cli._sort_bulk(f, [])
 
 
 def test_analyze_sorts_every_parts_doubles_into_one_run(capsys, tmp_path, monkeypatch):
-    # The parent's part and each child's doubles are sorted together once,
-    # and the report tallies that one run, a memoryview of the doubles.
-    started = in_parts(monkeypatch, 64 << 10)
+    # The doubles of every chunk are sorted together once, and the report
+    # tallies that one run, a memoryview of the doubles.
+    in_bulk(monkeypatch)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
     lines = log_uniform_lines(10_000, 9)
     data = tmp_path / "data.csv"
     data.write_text("".join(f"{x}\n" for x in lines))
     assert run_cli(capsys, "analyze", str(data))[0] == 0
-    assert len(started) == 2
     assert [type(run) for run in tallied] == [memoryview]
     assert list(tallied[0]) == sorted(map(float, lines))
 
 
-@pytest.mark.parametrize("executable", [None, ""])
-def test_analyze_parses_every_part_itself_without_an_interpreter_to_start(
-    capsys, tmp_path, monkeypatch, executable
-):
-    # An embedded interpreter may leave sys.executable None or empty.
-    data = tmp_path / "data.csv"
-    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 5)))
-    expected = run_cli(capsys, "analyze", str(data), "--format", "json")
-    assert expected[0] == 0
-    started = in_parts(monkeypatch, 64)
-    monkeypatch.setattr(sys, "executable", executable)
-    assert run_cli(capsys, "analyze", str(data), "--format", "json") == expected
-    assert started == []
-
-
 def test_analyze_explains_bad_lines_spread_over_the_parts(capsys, tmp_path, monkeypatch):
-    # Eighty 5-byte lines cut into four parts of twenty, the last three in
-    # children. The 25 bad lines, negatives and non-numbers, are in every
-    # child's part, so each child fails.
-    started = in_parts(monkeypatch, 16, cpus=4)
+    # Eighty 5-byte lines read in 16-byte chunks of four lines. The 25 bad
+    # lines, negatives and non-numbers, are in thirteen of the twenty chunks.
+    in_bulk(monkeypatch, chunk_bytes=16)
     lines = ["1.25"] * 80
     for k in range(21, 70, 2):
         lines[k] = f"{-k:4d}" if k % 4 == 1 else f"x{k:03d}"
@@ -1055,68 +1049,92 @@ def test_analyze_explains_bad_lines_spread_over_the_parts(capsys, tmp_path, monk
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].endswith("error: ... and 5 more bad lines\n")
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert len(started) == 3 and started[0].returncode == 1
 
 
-@pytest.mark.parametrize(
-    "lines, code",
-    [(["1.5"] * 60, 0), (["1.5"] * 59 + ["wat"], 1), (["wat"] + ["1.5"] * 59, 1)],
-    ids=["clean", "bad-line-in-a-child", "bad-line-before-any-child-is-read"],
-)
-def test_no_child_outlives_analyze(capsys, tmp_path, monkeypatch, lines, code):
-    started = in_parts(monkeypatch, 16)
+@pytest.mark.parametrize("bad_line", [None, "last", "first"], ids=["clean", "bad-line-last", "bad-line-first"])
+def test_analyze_of_a_bulk_file_starts_no_process(capsys, tmp_path, monkeypatch, bad_line):
+    # The clean file is over the default bulk size; the bad ones are read in
+    # 16-byte chunks and end up with the explaining parser.
+    lines = ["1.25"] * (cli._BULK_BYTES // 5 + 1)
+    if bad_line is not None:
+        in_bulk(monkeypatch, chunk_bytes=16)
+        lines = ["1.5"] * 60
+        lines[-1 if bad_line == "last" else 0] = "wat"
+    tallied, started = [], []
+    spy_on_tallies(monkeypatch, tallied)
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: started.append(args))
     data = tmp_path / "data.csv"
     data.write_text("value\n" + "".join(f"{line}\n" for line in lines))
-    assert run_cli(capsys, "analyze", str(data))[0] == code
-    assert len(started) == 2
+    assert run_cli(capsys, "analyze", str(data))[0] == (1 if bad_line else 0)
+    assert [type(run) for run in tallied] == ([] if bad_line else [memoryview])
+    assert started == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_analyze_parses_the_parts_itself_when_no_child_starts(capsys, tmp_path, monkeypatch):
+def hard_numerals(rng):
+    """~20,000 numerals of positive finite doubles that a parser rounds wrongly
+    if it is not exact, each one as JSON writes a number."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # enough for every halfway point, exactly
+        numerals = []
+        for k in range(2000):
+            x = math.ldexp(1.0 + rng.random(), rng.randrange(-1074, 1024))
+            if k % 4 == 0:
+                x = 5e-324 * rng.randrange(1, 1 << 52)  # a subnormal
+            high = math.nextafter(x, math.inf)
+            if high == math.inf:
+                continue
+            half = (decimal.Decimal(x) + decimal.Decimal(high)) / 2
+            numerals += (f"{half:.{p}e}" for p in range(17, 26))  # 18 to 26 digits
+            if k % 20 == 0:
+                numerals.append(f"{half:e}".upper())  # the halfway point itself
+        for e in range(53, 81):  # integers at and next to halfway points
+            ulp = 1 << (e - 52)
+            for _ in range(8):
+                n = (1 << e) + ulp * rng.getrandbits(52) + ulp // 2
+                numerals += (str(n - 1), str(n), str(n + 1))
+        for _ in range(800):
+            x = math.ldexp(1.0 + rng.random(), rng.randrange(-40, 80))
+            numerals.append(f"{decimal.Decimal(x):f}")  # long plain decimals
+            numerals.append(f"{x:.{rng.randrange(20, 40)}f}".rstrip("0").rstrip("."))
+    return numerals
+
+
+def test_the_bulk_parse_gives_the_doubles_float_gives(monkeypatch):
+    numerals = hard_numerals(random.Random(23))
+    assert len(numerals) > 19_000
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 64 << 10)
+    parsed = cli._sort_bulk(io.BytesIO("".join(f"{n}\n" for n in numerals).encode()), [])
+    assert parsed.tobytes() == array("d", sorted(map(float, numerals))).tobytes()
+
+
+@pytest.mark.parametrize("line", ["1,5", "[1]", "1_0", "true", "\x0c", "\uff17"])
+def test_analyze_gives_the_line_parsers_output_on_a_bulk_file_with_one_odd_line(
+    capsys, tmp_path, monkeypatch, line
+):
+    # Each line is one JSON value, or two numbers, or a number to float() and
+    # str.strip() but not to JSON; the explaining parser answers each file.
+    in_bulk(monkeypatch, chunk_bytes=32)
     data = tmp_path / "data.csv"
-    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 5)))
-    expected = run_cli(capsys, "analyze", str(data), "--format", "json")
-    assert expected[0] == 0
-    in_parts(monkeypatch, 64)
-
-    def refuse(*args, **kwargs):
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(subprocess, "Popen", refuse)
-    assert run_cli(capsys, "analyze", str(data), "--format", "json") == expected
-    assert cli._analyze_plain_numbers(str(data)) is not None
-
-
-def test_children_read_the_file_analyze_opened(capsys, tmp_path, monkeypatch):
-    # The path names another file by the time the children start.
-    data = tmp_path / "data.csv"
-    data.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 6)))
-    expected = run_cli(capsys, "analyze", str(data))
-    started = in_parts(monkeypatch, 64)
-    start_child = cli._start_child
-
-    def replace_then_start(*args):
-        if not started:
-            other = tmp_path / "other.csv"
-            other.write_text("".join(f"{x}\n" for x in log_uniform_lines(1000, 7)))
-            os.replace(other, data)
-        return start_child(*args)
-
-    monkeypatch.setattr(cli, "_start_child", replace_then_start)
+    data.write_bytes(("value\n" + "1.5\n" * 30 + f"{line}\n" + "2.5\n" * 30).encode())
+    expected = analyze_by_the_line_parser(str(data), "csv")
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert len(started) == 2
+    assert cli._analyze_plain_numbers(str(data)) is None
+    if line == "1,5":
+        assert expected == (1, "", "error: line 32: not a number: '1,5'\n")
 
 
 def test_import_and_a_small_analyze_load_no_subprocess():
-    # Importing subprocess takes ~10 ms and numpy ~0.1 s, which only an
-    # analyze that cuts its file into parts pays, and json only JSON output.
-    # numpy's directory is on the path, so an import of it would succeed.
+    # Importing numpy takes ~0.1 s and orjson (which imports json) some ms,
+    # which only an analyze of a large file pays, and json only JSON output.
+    # The directories of numpy and orjson are on the path, so an import of
+    # either would succeed.
     src = str(Path(cli.__file__).parents[1])
-    site = str(Path(np.__file__).parents[1])
+    sites = sorted({str(Path(np.__file__).parents[1]), str(Path(orjson.__file__).parents[1])})
     code = (
-        f"import sys; sys.path[:0] = [{src!r}]; sys.path.append({site!r}); "
-        "loaded = lambda: sorted({'json', 'numpy', 'pathlib', 'subprocess'} & set(sys.modules)); "
+        f"import sys; sys.path[:0] = [{src!r}]; sys.path += {sites!r}; "
+        "loaded = lambda: sorted({'json', 'numpy', 'orjson', 'pathlib', 'subprocess'} & set(sys.modules)); "
         "import benfordsim; print(loaded()); from benfordsim import cli; print(loaded()); "
         "cli.main(['analyze', sys.argv[1]]); print(loaded())"
     )

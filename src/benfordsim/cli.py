@@ -295,14 +295,20 @@ def _sort_bulk(f: io.BufferedReader, head: list[float]) -> memoryview:
 
     Each chunk of whole lines is mapped by ``_AS_JSON_ITEMS`` and read as one
     JSON array by orjson into one ``array("d")``, which numpy sorts in place.
-    A line inside a chunk that is not one JSON number (``.5``, ``1,5``,
-    ``1e999``, a blank line), or a sorted run whose ends are not positive and
-    finite, raises ``ValueError``; numpy sorts NaN last, though orjson gives
-    none. A chunk that is one blank line gives no values, as
-    ``_parse_dataset`` skips it.
+    A chunk orjson turns down is read once more without its blank lines (empty
+    or ASCII whitespace alone, as ``bytes.strip`` sees them), which
+    ``_parse_dataset`` skips. A line that is still not one JSON number
+    (``.5``, ``1,5``, ``1e999``), or a sorted run whose ends are not positive
+    and finite, raises ``ValueError``; numpy sorts NaN last, though orjson
+    gives none.
     """
     import numpy  # ~0.1 s on a cold start
     import orjson
+
+    def load(text: bytearray) -> list[float]:
+        text = text.translate(_AS_JSON_ITEMS)
+        text[0], text[-1] = ord("["), ord("]")
+        return orjson.loads(text)
 
     doubles = array("d", head)
     while chunk := f.read(_CHUNK_BYTES):
@@ -311,9 +317,13 @@ def _sort_bulk(f: io.BufferedReader, head: list[float]) -> memoryview:
         text += f.readline()
         if text[-1] != ord("\n"):  # the last line of a file that does not end in one
             text += b"\n"
-        text = text.translate(_AS_JSON_ITEMS)
-        text[0], text[-1] = ord("["), ord("]")
-        doubles.extend(orjson.loads(text))
+        try:
+            items = load(text)
+        except orjson.JSONDecodeError:
+            lines = [line for line in text.split(b"\n") if line.strip()]
+            items = load(bytearray(b"\n%b\n" % b"\n".join(lines)))
+        # array.extend walks a list item by item; the constructor sizes once
+        doubles += array("d", items)
     values = numpy.frombuffer(doubles)
     values.sort()
     if not (values.size and 0.0 < values[0] and values[-1] <= sys.float_info.max):

@@ -9,8 +9,11 @@ log10(1 + 1/d), so 1 leads about 30.1% of the time and 9 only 4.6%;
 Digits are looked up, not estimated: a positive number at or above d * 10**k
 and below the next such boundary has digit d. The nine boundaries of each
 decade are built exactly on first use and cached, so a dataset builds only
-the decades it spans and every digit is exact by construction. No other
-module reads the boundaries.
+the decades it spans and every digit is exact by construction. A list is
+tallied by bisecting those boundaries into it. A sorted run of doubles is
+tallied by one numpy search of a table derived from them, decade by decade
+and cached the same way: the least double at or above each boundary. No
+other module reads either table.
 """
 
 from __future__ import annotations
@@ -80,20 +83,49 @@ def first_significant_digit(x: float) -> int:
     return bisect_right(_decade(_decade_of(m)), m)
 
 
+@cache
+def _least_doubles(k: int) -> tuple[float, ...]:
+    """The least double at or above each boundary of ``_decade(k)``, inf above
+    the largest double, so that a double x is at or above the entry exactly
+    when x >= d * 10**k. An int entry would round to the nearest double, which
+    may lie below it. Only doubles may be compared with these: the int 10**23
+    lies below 1.0000000000000001e23, its entry here."""
+    bounds = []
+    for b in _decade(k):
+        x = float(b) if b <= _LARGEST else math.inf
+        bounds.append(math.nextafter(x, math.inf) if x < b else x)
+    return tuple(bounds)
+
+
 def tally_digits(xs: Sequence[float]) -> tuple[int, ...]:
     """Counts of the first digits 1..9 over non-empty, ascending, positive ``xs``.
 
     No value may exceed the largest double. Values from one digit boundary up
-    to the next share its digit, so each boundary of the decades [min, max]
-    spans is bisected into ``xs`` once and no value is looked up on its own.
+    to the next share its digit, so only the position of each boundary of the
+    decades [min, max] spans is found in ``xs``, and no value is looked up on
+    its own. A list bisects each boundary of ``_decade`` into it in turn; a
+    ``memoryview`` of doubles finds every position with one
+    ``numpy.searchsorted`` of ``_least_doubles``, which is exact for doubles
+    alone.
     """
+    decades = range(_decade_of(xs[0]), _decade_of(xs[-1]) + 1)
+    if isinstance(xs, memoryview):
+        import numpy
+
+        bounds = [b for k in decades for b in _least_doubles(k)]
+        ends = numpy.frombuffer(xs).searchsorted(bounds).tolist()
+    else:
+        ends = []
+        end = 0
+        for k in decades:
+            for b in _decade(k):
+                end = bisect_left(xs, b, end)
+                ends.append(end)
     counts = [0] * 9
     start = 0
-    for k in range(_decade_of(xs[0]), _decade_of(xs[-1]) + 1):
-        for d, b in enumerate(_decade(k), 1):
-            end = bisect_left(xs, b, start)
-            # just below d * 10**k: digit d - 1, or 9 (index -1) below d = 1
-            counts[d - 2] += end - start
-            start = end
+    for i, end in enumerate(ends):
+        # just below d * 10**k, d = i % 9 + 1: digit d - 1, or 9 (index -1) below d = 1
+        counts[i % 9 - 1] += end - start
+        start = end
     counts[8] += len(xs) - start  # from 9 * 10**k of the last decade up
     return tuple(counts)

@@ -6,8 +6,8 @@ percentages (SSD), quantiles with linear interpolation, and base-10 log
 histograms as (bin index, count) pairs. A report is built from the dataset
 sorted once: it gives the 90th/10th percentile ratio (QTM), the classical
 log10(max/min) order of magnitude (OOM) and, through ``digits.tally_digits``,
-which bisects the digit boundaries of the decades the values span into them,
-the first-digit counts.
+which finds where each digit boundary of the decades the values span falls
+among them, the first-digit counts.
 """
 
 from __future__ import annotations

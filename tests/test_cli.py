@@ -1115,14 +1115,37 @@ def test_analyze_gives_the_line_parsers_output_on_a_bulk_file_with_one_odd_line(
 ):
     # Each line is one JSON value, or two numbers, or a number to float() and
     # str.strip() but not to JSON; the explaining parser answers each file.
+    # A form feed alone is a blank line, which the fast path drops.
     in_bulk(monkeypatch, chunk_bytes=32)
     data = tmp_path / "data.csv"
     data.write_bytes(("value\n" + "1.5\n" * 30 + f"{line}\n" + "2.5\n" * 30).encode())
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert cli._analyze_plain_numbers(str(data)) is None
+    assert (cli._analyze_plain_numbers(str(data)) is None) == (line != "\x0c")
     if line == "1,5":
         assert expected == (1, "", "error: line 32: not a number: '1,5'\n")
+
+
+@pytest.mark.parametrize("blank", ["trailing", "mid-chunk"])
+def test_analyze_answers_a_bulk_file_with_blank_lines_on_the_fast_path(capsys, tmp_path, monkeypatch, blank):
+    # The line parser skips blank lines, so one of them must not send a large
+    # file to it: a trailing empty line, or a line of spaces, tabs and a CR
+    # inside a 4 KiB chunk.
+    in_bulk(monkeypatch, chunk_bytes=4 << 10)
+    lines = log_uniform_lines(2000, 24)
+    if blank == "trailing":
+        lines.append("")
+    else:
+        lines.insert(1000, " \t\r")
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{line}\n" for line in lines))
+    for format in ("csv", "json"):
+        expected = analyze_by_the_line_parser(str(data), format)
+        assert expected[0] == 0
+        report = cli._analyze_plain_numbers(str(data))
+        assert report is not None
+        assert (0, cli._render_analysis(report, format), "") == expected
+        assert run_cli(capsys, "analyze", str(data), "--format", format) == expected
 
 
 def test_import_and_a_small_analyze_load_no_subprocess():

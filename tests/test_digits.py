@@ -6,6 +6,7 @@ from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +19,7 @@ from benfordsim import (
     run_experiment,
     scheme_preset,
 )
-from benfordsim import digits
+from benfordsim import digits, stats
 
 # Figure-of-record rounded percentages for digits 1..9.
 ROUNDED_PCT = (30.1, 17.6, 12.5, 9.7, 7.9, 6.7, 5.8, 5.1, 4.6)
@@ -132,6 +133,33 @@ def test_analyze_counts_every_digit_boundary_neighbour_exactly():
     assert analyze(values).counts == tuple(expected[d] for d in range(1, 10))
 
 
+def numpy_sorted(values):
+    """``values`` sorted by numpy, as the ``memoryview`` of doubles that the
+    report of a large ``analyze`` file tallies."""
+    xs = np.array(values, dtype=np.float64)
+    xs.sort()
+    return memoryview(xs)
+
+
+def test_the_numpy_tally_counts_every_digit_boundary_neighbour_exactly():
+    values = boundary_neighbours()
+    expected = Counter(decimal_digit(x) for x in values)
+    random.Random(6).shuffle(values)
+    assert digits.tally_digits(numpy_sorted(values)) == tuple(expected[d] for d in range(1, 10))
+
+
+def test_the_numpy_tally_is_exact_where_a_boundary_is_no_double():
+    # No double equals 10**23: the nearest, 9.999999999999999e22 (whose repr
+    # is 1e+23), lies just below it and the next, 1.0000000000000001e23, just
+    # above. The int 10**23 lies below the latter, so only doubles may be
+    # searched against the table of doubles; a list keeps the int's digit.
+    below, above = 9.999999999999999e22, 1.0000000000000001e23
+    assert below < 10**23 < above == math.nextafter(below, math.inf)
+    nine_one_one = (2, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert digits.tally_digits(numpy_sorted([below, above, sys.float_info.max])) == nine_one_one
+    assert digits.tally_digits([below, 10**23, above]) == nine_one_one
+
+
 @pytest.mark.parametrize("miss", [-1, 1])
 def test_digits_stay_exact_when_log10_misses_the_decade(monkeypatch, miss):
     # log10 only picks the decade to consult; a libm whose log10 lands one
@@ -144,8 +172,13 @@ def test_digits_stay_exact_when_log10_misses_the_decade(monkeypatch, miss):
         counts = [0] * 9
         counts[decimal_digit(x) - 1] = 2
         assert digits.tally_digits([x, x]) == tuple(counts)
+    for x in values[::25]:
+        counts = [0] * 9
+        counts[decimal_digit(x) - 1] = 2
+        assert digits.tally_digits(numpy_sorted([x, x])) == tuple(counts)
     expected = Counter(decimal_digit(x) for x in values)
     assert digits.tally_digits(values) == tuple(expected[d] for d in range(1, 10))
+    assert digits.tally_digits(numpy_sorted(values)) == tuple(expected[d] for d in range(1, 10))
 
 
 def test_import_builds_no_table_and_loads_no_decimal():
@@ -160,14 +193,19 @@ def test_import_builds_no_table_and_loads_no_decimal():
 
 def test_analysis_builds_only_the_decades_the_data_span():
     # All 633 decades of the double range cost milliseconds; a preset's
-    # final values span about ten.
+    # final values span about ten. A list builds no table of doubles.
     values, _ = run_experiment(scheme_preset("Small_100", 1))
     spanned = math.floor(math.log10(max(values))) - math.floor(math.log10(min(values))) + 1
     assert spanned < 20
-    digits._decade.cache_clear()
-    analyze(values)
-    first_significant_digit(values[0])
-    assert 0 < digits._decade.cache_info().currsize <= spanned + 2
+    doubles_tables = []
+    for report in (lambda: analyze(values), lambda: stats._report(numpy_sorted(values))):
+        digits._decade.cache_clear()
+        digits._least_doubles.cache_clear()
+        report()
+        first_significant_digit(values[0])
+        assert 0 < digits._decade.cache_info().currsize <= spanned + 2
+        doubles_tables.append(digits._least_doubles.cache_info().currsize)
+    assert doubles_tables[0] == 0 < doubles_tables[1] <= spanned + 2
 
 
 def test_import_loads_no_dataclasses_json_or_resources():

@@ -112,7 +112,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.preset is not None:
         seed = args.seed if args.seed is not None else _generate_seed()
         return scheme_preset(args.preset, seed)
-    text = _read_input(args.config)
+    with open(args.config, "rb") as f:
+        text = _read_input(f, args.config)
     try:
         return parse_config(text, seed=args.seed, source=args.config)
     except MissingSeedError:
@@ -123,13 +124,12 @@ def _generate_seed() -> int:
     return random.SystemRandom().getrandbits(63)
 
 
-def _read_input(path: str) -> str:
-    """The text of a dataset or config file: UTF-8, with or without a byte order mark."""
+def _read_input(f: io.BufferedIOBase, name: str) -> str:
+    """The rest of the binary file ``f``, named ``name``: UTF-8, with or without a byte order mark."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            return f.read()
+        return f.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -217,15 +217,18 @@ def _render_histogram(bins: list[tuple[int, int]], width: float) -> str:
 def cmd_analyze(args: argparse.Namespace) -> None:
     """Report the digit conformance of a dataset file, or explain why it has none.
 
-    A regular file of plain numbers takes the fast path, ``_analyze_plain_numbers``.
-    Any other input, and any file that path turns down, is read whole and
-    parsed by ``_parse_dataset``, which names every bad line; so every message,
-    line number and exit code comes from that one parser.
+    Opened once (one that is not a regular file, such as a pipe, can be read only
+    once and is held in memory), the input takes the fast path, ``_analyze_plain_numbers``;
+    if turned down, it is read again from its start by ``_parse_dataset``, which names
+    every bad line; so every message, line number and exit code comes from that one parser.
     """
-    with _outputs({"--out": args.out}, "the input", args.input) as texts:
-        report = _analyze_plain_numbers(args.input) if os.path.isfile(args.input) else None
+    with _outputs({"--out": args.out}, "the input", args.input) as texts, open(args.input, "rb") as f:
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f = io.BytesIO(f.read())
+        report = _analyze_plain_numbers(f)
         if report is None:
-            values, bad_lines = _parse_dataset(_read_input(args.input))
+            f.seek(0)
+            values, bad_lines = _parse_dataset(_read_input(f, args.input))
             if bad_lines:
                 shown = [f"line {lineno}: {why}: {line!r}" for lineno, line, why in bad_lines[:20]]
                 if len(bad_lines) > 20:
@@ -254,33 +257,32 @@ _AS_JSON_ITEMS = bytes(
 )
 
 
-def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
-    """The report of a file whose lines after the first are each one number,
-    else None, for ``_parse_dataset`` to explain.
+def _analyze_plain_numbers(f: io.BufferedIOBase) -> stats.BenfordReport | None:
+    """The report of the seekable binary file ``f`` if its lines after the
+    first are each one number, else None, for ``_parse_dataset`` to explain.
 
-    The first line is decoded as ``_read_input`` decodes a file and goes
-    through ``_parse_dataset``, which decides whether it is a header; a bad
-    first line gives None. Every later line goes to ``float`` as bytes, or
-    from ``_BULK_BYTES`` up to orjson through ``_sort_bulk``, and a zero,
-    negative, inf or NaN value gives None. This gives ``_parse_dataset``'s
-    values exactly: a line of bytes that ``float`` accepts is one number
-    padded with ASCII whitespace, so it decodes as it is and each piece
-    ``str.splitlines`` cuts from it is blank or that number. After a blank
-    first line, the first line that is not blank is a number here, so it is
-    data to ``_parse_dataset`` too. A small file's values are sorted as a
-    list, so it never loads numpy or orjson. Only the sorted values are
-    checked.
+    The first line is decoded as ``_read_input`` decodes a file and goes through
+    ``_parse_dataset``, which decides whether it is a header; a bad first line
+    gives None. Every later line goes to ``float`` as bytes, or, once they hold
+    ``_BULK_BYTES``, to orjson through ``_sort_bulk``, and a zero, negative, inf
+    or NaN value gives None. This gives ``_parse_dataset``'s values exactly: a
+    line of bytes that ``float`` accepts is one number padded with ASCII
+    whitespace, so it decodes as it is and each piece ``str.splitlines`` cuts
+    from it is blank or that number. After a blank first line, the first line
+    that is not blank is a number here, so it is data to ``_parse_dataset`` too.
+    A small file's values are sorted as a list, so it never loads numpy or
+    orjson. Only the sorted values are checked.
     """
     try:
-        with open(path, "rb") as f:
-            head = f.readline().decode("utf-8-sig")
-            values, bad_lines = _parse_dataset(head)
-            if bad_lines:
-                return None
-            size = os.fstat(f.fileno()).st_size - f.tell()
-            if size >= _BULK_BYTES:
-                return stats._report(_sort_bulk(f, values))
-            values += map(float, io.BytesIO(f.read(size)))
+        head = f.readline().decode("utf-8-sig")
+        values, bad_lines = _parse_dataset(head)
+        if bad_lines:
+            return None
+        start = f.tell()
+        size = f.seek(0, os.SEEK_END) - f.seek(start)  # and back to the second line
+        if size >= _BULK_BYTES:
+            return stats._report(_sort_bulk(f, values))
+        values += map(float, io.BytesIO(f.read(size)))
         values.sort()
         if not stats._is_positive_run(values):
             return None
@@ -289,9 +291,9 @@ def _analyze_plain_numbers(path: str) -> stats.BenfordReport | None:
         return None
 
 
-def _sort_bulk(f: io.BufferedReader, head: list[float]) -> memoryview:
-    """The values of ``head`` and of the rest of the lines of ``f``, sorted by
-    numpy, as a ``memoryview`` of doubles.
+def _sort_bulk(f: io.BufferedIOBase, head: list[float]) -> memoryview:
+    """The values of ``head`` and of the rest of the lines of the binary file
+    ``f``, sorted by numpy, as a ``memoryview`` of doubles.
 
     Each chunk of whole lines is mapped by ``_AS_JSON_ITEMS`` and read as one
     JSON array by orjson into one ``array("d")``, which numpy sorts in place.

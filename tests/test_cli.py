@@ -899,10 +899,16 @@ def fuzz_dataset(rng):
     return raw
 
 
+def opened(read, path, *args):
+    """``read`` called on the file at ``path``, opened in binary, and ``args``."""
+    with open(path, "rb") as f:
+        return read(f, *args)
+
+
 def analyze_by_the_line_parser(path, format):
     """(exit code, stdout, stderr) of `analyze PATH` built from the line parser alone."""
     try:
-        text = cli._read_input(path)
+        text = opened(cli._read_input, path, path)
     except ConfigError as exc:
         return 2, "", f"error: {exc}\n"
     values, bad = _parse_dataset(text)
@@ -926,7 +932,7 @@ def test_analyze_fast_path_gives_the_line_parsers_output(capsys, tmp_path):
         expected = analyze_by_the_line_parser(path, format)
         assert run_cli(capsys, "analyze", path, "--format", format) == expected, Path(path).read_bytes()
         codes.append(expected[0])
-        fast += cli._analyze_plain_numbers(path) is not None
+        fast += opened(cli._analyze_plain_numbers, path) is not None
     # Every outcome occurs, and the fast path answers a good share of the clean files.
     assert min(codes.count(0), codes.count(1), codes.count(2), fast) > 30
 
@@ -991,7 +997,7 @@ def test_analyze_explains_bad_lines_in_a_childs_part(capsys, tmp_path, monkeypat
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].count("error: line") == 3
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert cli._analyze_plain_numbers(str(data)) is None
+    assert opened(cli._analyze_plain_numbers, data) is None
 
 
 def spy_on_tallies(monkeypatch, events):
@@ -1121,7 +1127,7 @@ def test_analyze_gives_the_line_parsers_output_on_a_bulk_file_with_one_odd_line(
     data.write_bytes(("value\n" + "1.5\n" * 30 + f"{line}\n" + "2.5\n" * 30).encode())
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert (cli._analyze_plain_numbers(str(data)) is None) == (line != "\x0c")
+    assert (opened(cli._analyze_plain_numbers, data) is None) == (line != "\x0c")
     if line == "1,5":
         assert expected == (1, "", "error: line 32: not a number: '1,5'\n")
 
@@ -1142,7 +1148,7 @@ def test_analyze_answers_a_bulk_file_with_blank_lines_on_the_fast_path(capsys, t
     for format in ("csv", "json"):
         expected = analyze_by_the_line_parser(str(data), format)
         assert expected[0] == 0
-        report = cli._analyze_plain_numbers(str(data))
+        report = opened(cli._analyze_plain_numbers, data)
         assert report is not None
         assert (0, cli._render_analysis(report, format), "") == expected
         assert run_cli(capsys, "analyze", str(data), "--format", format) == expected
@@ -1150,9 +1156,9 @@ def test_analyze_answers_a_bulk_file_with_blank_lines_on_the_fast_path(capsys, t
 
 def test_import_and_a_small_analyze_load_no_subprocess():
     # Importing numpy takes ~0.1 s and orjson (which imports json) some ms,
-    # which only an analyze of a large file pays, and json only JSON output.
-    # The directories of numpy and orjson are on the path, so an import of
-    # either would succeed.
+    # which only an analyze of a large file or pipe pays, and json only JSON
+    # output. The directories of numpy and orjson are on the path, so an
+    # import of either would succeed. The dataset is a file, then a pipe.
     src = str(Path(cli.__file__).parents[1])
     sites = sorted({str(Path(np.__file__).parents[1]), str(Path(orjson.__file__).parents[1])})
     code = (
@@ -1161,12 +1167,13 @@ def test_import_and_a_small_analyze_load_no_subprocess():
         "import benfordsim; print(loaded()); from benfordsim import cli; print(loaded()); "
         "cli.main(['analyze', sys.argv[1]]); print(loaded())"
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code, EARTHQUAKE_CSV], capture_output=True, text=True, check=True
-    )
-    lines = out.stdout.splitlines()
-    assert (lines[0], lines[1], lines[-1]) == ("[]", "[]", "[]")
-    assert "n,40" in lines
+    for path, stdin in ((EARTHQUAKE_CSV, None), ("/dev/stdin", Path(EARTHQUAKE_CSV).read_bytes())):
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, path], input=stdin, capture_output=True, check=True
+        )
+        lines = out.stdout.decode().splitlines()
+        assert (lines[0], lines[1], lines[-1]) == ("[]", "[]", "[]")
+        assert "n,40" in lines
 
 
 def analyze_from_a_fifo(fifo, data):
@@ -1193,3 +1200,47 @@ def test_analyze_reads_a_fifo_once(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(data))
     assert code == 0
     assert analyze_from_a_fifo(tmp_path / "clean.fifo", clean.encode()) == (0, out, err)
+    # Undecodable bytes: the FIFO takes the place of a file of the same bytes.
+    for k, raw in enumerate([b"\xef\xbb\xbfvalue\n1.5\n\xff\n", b"1.5\n2\n3\n\xc3"]):
+        path = tmp_path / f"undecodable{k}"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+        path.unlink()
+        assert analyze_from_a_fifo(path, raw) == (code, out, err)
+
+
+def analyze_from_a_pipe(capsys, data, *argv):
+    """`analyze` in this process of a new pipe that a thread writes ``data`` into once."""
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        result = run_cli(capsys, "analyze", f"/dev/fd/{r}", *argv)
+    finally:
+        os.close(r)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return result
+
+
+def test_analyze_parses_a_large_pipe_as_a_large_file(capsys, tmp_path, monkeypatch):
+    # A pipe's bytes are held in memory and take the file's parse, so from the
+    # bulk size up they are parsed by orjson and tallied as numpy's sorted run.
+    in_bulk(monkeypatch)
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
+    raw = ("value\n" + "".join(f"{x}\n" for x in log_uniform_lines(10_000, 25))).encode()
+    data = tmp_path / "data.csv"
+    data.write_bytes(raw)
+    for format in ("csv", "json"):
+        expected = run_cli(capsys, "analyze", str(data), "--format", format)
+        assert expected[0] == 0 and "10000" in expected[1]
+        tallied.clear()
+        assert analyze_from_a_pipe(capsys, raw, "--format", format) == expected
+        assert [type(run) for run in tallied] == [memoryview]

@@ -270,8 +270,8 @@ def _analyze_plain_numbers(f: io.BufferedIOBase) -> stats.BenfordReport | None:
     whitespace, so it decodes as it is and each piece ``str.splitlines`` cuts
     from it is blank or that number. After a blank first line, the first line
     that is not blank is a number here, so it is data to ``_parse_dataset`` too.
-    A small file's values are sorted as a list, so it never loads numpy or
-    orjson. Only the sorted values are checked.
+    A small file's values go to ``stats.analyze`` as a list, so it never loads
+    numpy or orjson.
     """
     try:
         head = f.readline().decode("utf-8-sig")
@@ -283,11 +283,8 @@ def _analyze_plain_numbers(f: io.BufferedIOBase) -> stats.BenfordReport | None:
         if size >= _BULK_BYTES:
             return stats._report(_sort_bulk(f, values))
         values += map(float, io.BytesIO(f.read(size)))
-        values.sort()
-        if not stats._is_positive_run(values):
-            return None
-        return stats._report(values)
-    except ValueError:  # also UnicodeDecodeError, orjson's JSONDecodeError and EmptyDataError
+        return stats.analyze(values)
+    except ValueError:  # also UnicodeDecodeError, orjson's JSONDecodeError, DomainError, EmptyDataError
         return None
 
 

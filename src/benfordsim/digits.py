@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
 from .errors import DomainError
 

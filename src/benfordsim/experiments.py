@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from . import stats
 from .errors import ConfigError, MissingSeedError
@@ -35,24 +36,19 @@ CSV_HEADER = "cycle,d1,d2,d3,d4,d5,d6,d7,d8,d9,ssd,q10,q90,qtm"
 _FIXTURE_FILE = "earthquake_intervals.csv"
 
 
-class _ConfigFields(NamedTuple):
-    ball_count: int
-    initial_value: float
-    cycles: int
-    ratio: float | None
-    seed: int
-    checkpoints: tuple[int, ...]
-
-
-class ExperimentConfig(_ConfigFields):
+class ExperimentConfig(
+    namedtuple("ExperimentConfig", "ball_count initial_value cycles ratio seed checkpoints")
+):
     """One fully pinned run; the seed is mandatory so every run is replayable.
 
+    ``ball_count``, ``cycles`` and ``seed`` are ints, ``initial_value`` is a
+    float (or int), ``ratio`` a float or None, and ``checkpoints`` a tuple of ints.
     ``ratio`` is None for a fresh Uniform(0, 1) split ratio each cycle, or a
     fixed float in (0, 1). ``seed`` is an integer in [0, 2**64). The total,
     ball_count * initial_value, must not exceed the largest double. Integer
     fields reject ``bool``. This is the one place a run is validated;
-    ``process.run`` trusts it: every way to build a config, ``_make`` and
-    ``_replace`` included, goes through these checks.
+    ``process.run`` trusts it: every way to build a config, ``_make``,
+    ``_replace`` and unpickling included, goes through these checks.
     """
 
     __slots__ = ()
@@ -86,19 +82,13 @@ class ExperimentConfig(_ConfigFields):
         return self
 
     @classmethod
-    def _make(cls, iterable: Iterable) -> ExperimentConfig:
+    def _make(cls, iterable: Iterable) -> ExperimentConfig:  # namedtuple's own skips __new__
         return cls(*iterable)
 
 
-class CheckpointRecord(NamedTuple):
-    """One table row: the analysis of the system snapshot at a cycle number."""
-
-    cycle: int
-    digit_pct: tuple[float, ...]
-    ssd: float
-    q10: float
-    q90: float
-    qtm: float
+CheckpointRecord = namedtuple("CheckpointRecord", "cycle digit_pct ssd q10 q90 qtm")
+CheckpointRecord.__doc__ = """One table row: the analysis of the system snapshot at a cycle number.
+``cycle`` is an int, ``digit_pct`` a 9-tuple of percentages for digits 1..9, and the rest are floats."""
 
 
 def _record(cycle: int, values: Sequence[float]) -> CheckpointRecord:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .digits import tally_digits
 from .errors import DomainError, EmptyDataError
@@ -32,17 +33,10 @@ __all__ = [
 BENFORD_PCT: tuple[float, ...] = tuple(100.0 * math.log10(1.0 + 1.0 / d) for d in range(1, 10))
 
 
-class BenfordReport(NamedTuple):
-    """One snapshot of digit counts, proportions and dispersion measures for a dataset."""
-
-    proportions_pct: tuple[float, ...]
-    ssd: float
-    q10: float
-    q90: float
-    qtm: float
-    oom: float
-    n: int
-    counts: tuple[int, ...]
+BenfordReport = namedtuple("BenfordReport", "proportions_pct ssd q10 q90 qtm oom n counts")
+BenfordReport.__doc__ = """One snapshot of digit counts, proportions and dispersion measures for a
+dataset: ``proportions_pct`` and ``counts`` are 9-tuples for digits 1..9, ``n`` is an int, and the rest
+are floats."""
 
 
 def ssd(observed_pct: Sequence[float]) -> float:

@@ -1163,7 +1163,8 @@ def test_import_and_a_small_analyze_load_no_subprocess():
     sites = sorted({str(Path(np.__file__).parents[1]), str(Path(orjson.__file__).parents[1])})
     code = (
         f"import sys; sys.path[:0] = [{src!r}]; sys.path += {sites!r}; "
-        "loaded = lambda: sorted({'json', 'numpy', 'orjson', 'pathlib', 'subprocess'} & set(sys.modules)); "
+        "loaded = lambda: sorted({'json', 'numpy', 'orjson', 'pathlib', 'subprocess', 'typing'} "
+        "& set(sys.modules)); "
         "import benfordsim; print(loaded()); from benfordsim import cli; print(loaded()); "
         "cli.main(['analyze', sys.argv[1]]); print(loaded())"
     )

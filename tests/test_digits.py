@@ -214,7 +214,7 @@ def test_import_loads_no_dataclasses_json_or_resources():
     src = str(Path(benfordsim.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import benfordsim; "
-        "print([m for m in ('dataclasses', 'inspect', 'json', 'importlib.resources') "
+        "print([m for m in ('dataclasses', 'inspect', 'json', 'importlib.resources', 'typing') "
         "if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)

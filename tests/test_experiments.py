@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 import sys
 from importlib import resources
@@ -8,6 +10,7 @@ from importlib import resources
 import pytest
 
 from benfordsim import (
+    BenfordReport,
     CheckpointRecord,
     ConfigError,
     ExperimentConfig,
@@ -182,6 +185,31 @@ def test_config_repr_names_every_field():
         "ExperimentConfig(ball_count=1000, initial_value=1.0, cycles=3000, ratio=0.85, "
         "seed=1, checkpoints=(3000,))"
     )
+
+
+_RECORD_FIELDS = {
+    ExperimentConfig: ("ball_count", "initial_value", "cycles", "ratio", "seed", "checkpoints"),
+    CheckpointRecord: ("cycle", "digit_pct", "ssd", "q10", "q90", "qtm"),
+    BenfordReport: ("proportions_pct", "ssd", "q10", "q90", "qtm", "oom", "n", "counts"),
+}
+_CLONES = (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy)
+
+
+@pytest.mark.parametrize("cls", list(_RECORD_FIELDS), ids=lambda cls: cls.__name__)
+def test_configs_records_and_reports_survive_pickling_and_copying(cls):
+    config = ExperimentConfig(5, 1.0, 10, None, seed=1, checkpoints=(10,))
+    _, (record,) = run_experiment(config)
+    obj = {ExperimentConfig: config, CheckpointRecord: record, BenfordReport: analyze([1.0, 2.0, 35.0])}[cls]
+    assert cls._fields == _RECORD_FIELDS[cls]
+    for clone in _CLONES:
+        copied = clone(obj)
+        assert type(copied) is cls and copied == obj
+    if cls is ExperimentConfig:
+        # A config forged past __new__ with a bad seed is checked again when rebuilt.
+        forged = tuple.__new__(ExperimentConfig, (5, 1.0, 10, None, -1, (10,)))
+        for clone in _CLONES:
+            with pytest.raises(ConfigError, match="seed must be"):
+                clone(forged)
 
 
 # --- run_experiment ----------------------------------------------------------

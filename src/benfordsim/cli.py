@@ -218,9 +218,9 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     """Report the digit conformance of a dataset file, or explain why it has none.
 
     Opened once (one that is not a regular file, such as a pipe, can be read only
-    once and is held in memory), the input takes the fast path, ``_analyze_plain_numbers``;
-    if turned down, it is read again from its start by ``_parse_dataset``, which names
-    every bad line; so every message, line number and exit code comes from that one parser.
+    once and is held in memory), an input of ``_BULK_BYTES`` or more takes the bulk
+    path, ``_analyze_plain_numbers``; a smaller one, or one turned down, is read from its
+    start by ``_parse_dataset``, so every message, line number and exit code comes from it.
     """
     with _outputs({"--out": args.out}, "the input", args.input) as texts, open(args.input, "rb") as f:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
@@ -240,10 +240,9 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         texts["--out"] = _render_analysis(report, args.format)
 
 
-# A file whose lines after the first hold this many bytes or more is parsed by
-# orjson, ~1 MiB of whole lines at a time, and sorted by numpy; a smaller one
-# loads neither. Chunks keep few of orjson's floats alive at once: one
-# orjson.loads of a whole 10^6-line file raised the peak memory by ~10 MB.
+# From this many bytes up, and only then, a file is parsed by orjson, ~1 MiB of whole
+# lines at a time, and sorted by numpy. Chunks keep few of orjson's floats alive at once:
+# one orjson.loads of a whole 10^6-line file raised the peak memory by ~10 MB.
 _BULK_BYTES = 8 << 20
 _CHUNK_BYTES = 1 << 20
 
@@ -258,33 +257,20 @@ _AS_JSON_ITEMS = bytes(
 
 
 def _analyze_plain_numbers(f: io.BufferedIOBase) -> stats.BenfordReport | None:
-    """The report of the seekable binary file ``f`` if its lines after the
-    first are each one number, else None, for ``_parse_dataset`` to explain.
-
-    The first line is decoded as ``_read_input`` decodes a file and goes through
-    ``_parse_dataset``, which decides whether it is a header; a bad first line
-    gives None. Every later line goes to ``float`` as bytes, or, once they hold
-    ``_BULK_BYTES``, to orjson through ``_sort_bulk``, and a zero, negative, inf
-    or NaN value gives None. This gives ``_parse_dataset``'s values exactly: a
-    line of bytes that ``float`` accepts is one number padded with ASCII
-    whitespace, so it decodes as it is and each piece ``str.splitlines`` cuts
-    from it is blank or that number. After a blank first line, the first line
-    that is not blank is a number here, so it is data to ``_parse_dataset`` too.
-    A small file's values go to ``stats.analyze`` as a list, so it never loads
-    numpy or orjson.
+    """The report of the seekable binary file ``f`` if it holds ``_BULK_BYTES`` or more
+    and each line after the first is one positive finite number, else None. The first
+    line, decoded as ``_read_input`` decodes a file, may be a header to ``_parse_dataset``;
+    after a blank one, the first line that is not blank is a number here and data there.
     """
     try:
-        head = f.readline().decode("utf-8-sig")
-        values, bad_lines = _parse_dataset(head)
+        if f.seek(0, os.SEEK_END) < _BULK_BYTES:
+            return None
+        f.seek(0)
+        values, bad_lines = _parse_dataset(f.readline().decode("utf-8-sig"))
         if bad_lines:
             return None
-        start = f.tell()
-        size = f.seek(0, os.SEEK_END) - f.seek(start)  # and back to the second line
-        if size >= _BULK_BYTES:
-            return stats._report(_sort_bulk(f, values))
-        values += map(float, io.BytesIO(f.read(size)))
-        return stats.analyze(values)
-    except ValueError:  # also UnicodeDecodeError, orjson's JSONDecodeError, DomainError, EmptyDataError
+        return stats._report(_sort_bulk(f, values))
+    except ValueError:  # also UnicodeDecodeError and orjson's JSONDecodeError
         return None
 
 
@@ -335,7 +321,7 @@ def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
 
     A non-numeric first line is taken as a header and skipped. This is the
     parser that explains a bad dataset; ``cmd_analyze`` runs it on the whole
-    text only when its fast path turns the file down.
+    text of a file under ``_BULK_BYTES``, or of one its bulk path turns down.
     """
     values: list[float] = []
     bad: list[tuple[int, str, str]] = []

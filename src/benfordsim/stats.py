@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .digits import tally_digits
 from .errors import DomainError, EmptyDataError
@@ -65,7 +65,7 @@ def _check_bin_width(width: float, name: str = "bin width") -> None:
         raise DomainError(f"{name} {width!r} is too small: log10 of the smallest double / width overflows")
 
 
-def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, int]]:
+def log_histogram(values: Iterable[float], bin_width: float) -> list[tuple[int, int]]:
     """Histogram of log10 of strictly positive ``values`` in fixed-width bins.
 
     A value x lands in bin floor(log10(x) / bin_width), which spans
@@ -74,6 +74,7 @@ def log_histogram(values: Sequence[float], bin_width: float) -> list[tuple[int, 
     value raises ``DomainError`` as in ``analyze``.
     """
     _check_bin_width(bin_width)
+    values = values if isinstance(values, Sequence) else list(values)  # read an iterator once
     counts: dict[int, int] = {}
     for x in values:
         if not 0.0 < x <= sys.float_info.max:
@@ -96,7 +97,7 @@ def _first_bad_value(values: Sequence[float]) -> DomainError:
     return DomainError(f"value at index {i} is not strictly positive: {values[i]!r}")
 
 
-def analyze(values: Sequence[float]) -> BenfordReport:
+def analyze(values: Iterable[float]) -> BenfordReport:
     """Full conformance report for a non-empty, strictly positive dataset.
 
     ``qtm`` is q90 / q10 (exactly 1 for constant data); ``oom`` is
@@ -104,6 +105,7 @@ def analyze(values: Sequence[float]) -> BenfordReport:
     the first zero, inf, NaN or magnitude beyond the largest double, else
     the first negative.
     """
+    values = values if isinstance(values, Sequence) else list(values)  # read an iterator once
     xs = sorted(values)
     if not _is_positive_run(xs):
         raise _first_bad_value(values)

@@ -698,12 +698,18 @@ def test_parse_dataset_strips_every_kind_of_padding():
 def test_analyze_tallies_each_value_once(capsys, monkeypatch):
     from benfordsim import stats
 
-    calls = []
+    calls, parsed, bulk = [], [], []
     tally = stats.tally_digits
     monkeypatch.setattr(stats, "tally_digits", lambda values: calls.append(1) or tally(values))
+    # A file under the bulk size is read once, whole, by the line parser.
+    parse = cli._parse_dataset
+    monkeypatch.setattr(cli, "_parse_dataset", lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(cli, "_sort_bulk", lambda *args: bulk.append(args))
     code, _, _ = run_cli(capsys, "analyze", EARTHQUAKE_CSV)
     assert code == 0
     assert len(calls) == 1
+    assert parsed == [Path(EARTHQUAKE_CSV).read_bytes().decode("utf-8-sig")]
+    assert bulk == []
 
 
 def test_analyze_earthquake_fixture(capsys):
@@ -841,8 +847,8 @@ GOLDEN_ANALYZE_DIGESTS = {
 
 
 def in_bulk(monkeypatch, bulk_bytes=1, chunk_bytes=64 << 10):
-    """Make `analyze` parse the lines after the first of a file in chunks of
-    ``chunk_bytes`` through orjson and numpy once they hold ``bulk_bytes``."""
+    """Make `analyze` parse the lines after the first of a file of ``bulk_bytes``
+    or more in chunks of ``chunk_bytes`` through orjson and numpy."""
     monkeypatch.setattr(cli, "_BULK_BYTES", bulk_bytes)
     monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
 
@@ -922,27 +928,12 @@ def analyze_by_the_line_parser(path, format):
     return 0, cli._render_analysis(stats.analyze(values), format), ""
 
 
-def test_analyze_fast_path_gives_the_line_parsers_output(capsys, tmp_path):
-    rng = random.Random(20150519)
-    path = str(tmp_path / "data.csv")
-    codes, fast = [], 0
-    for _ in range(1000):
-        Path(path).write_bytes(fuzz_dataset(rng))
-        format = rng.choice(["csv", "json"])
-        expected = analyze_by_the_line_parser(path, format)
-        assert run_cli(capsys, "analyze", path, "--format", format) == expected, Path(path).read_bytes()
-        codes.append(expected[0])
-        fast += opened(cli._analyze_plain_numbers, path) is not None
-    # Every outcome occurs, and the fast path answers a good share of the clean files.
-    assert min(codes.count(0), codes.count(1), codes.count(2), fast) > 30
-
-
 def test_analyze_in_tiny_parts_gives_the_line_parsers_output(capsys, tmp_path, monkeypatch):
     # Chunks of one to eight bytes, each stretched to a line end, so that a
     # chunk boundary falls after every line of some file.
     rng = random.Random(1505)
     path = str(tmp_path / "data.csv")
-    tallied = []
+    tallied, codes = [], []
     spy_on_tallies(monkeypatch, tallied)
     for _ in range(1000):
         in_bulk(monkeypatch, rng.randrange(1, 5), rng.randrange(1, 9))
@@ -950,6 +941,9 @@ def test_analyze_in_tiny_parts_gives_the_line_parsers_output(capsys, tmp_path, m
         format = rng.choice(["csv", "json"])
         expected = analyze_by_the_line_parser(path, format)
         assert run_cli(capsys, "analyze", path, "--format", format) == expected, Path(path).read_bytes()
+        codes.append(expected[0])
+    # Every outcome occurs, and the bulk path answers a good share of the clean files.
+    assert min(codes.count(0), codes.count(1), codes.count(2)) > 30
     assert sum(type(run) is memoryview for run in tallied) > 100
 
 
@@ -989,7 +983,7 @@ def test_analyze_in_parts_gives_the_one_part_output_next_to_every_digit_boundary
     assert [type(run) for run in tallied] == [memoryview, memoryview]
 
 
-def test_analyze_explains_bad_lines_in_a_childs_part(capsys, tmp_path, monkeypatch):
+def test_analyze_explains_bad_lines_in_the_last_chunk(capsys, tmp_path, monkeypatch):
     # The bad lines are all in the last 16-byte chunk.
     in_bulk(monkeypatch, chunk_bytes=16)
     data = tmp_path / "data.csv"
@@ -1029,7 +1023,7 @@ def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path
                 cli._sort_bulk(f, [])
 
 
-def test_analyze_sorts_every_parts_doubles_into_one_run(capsys, tmp_path, monkeypatch):
+def test_analyze_sorts_every_chunks_doubles_into_one_run(capsys, tmp_path, monkeypatch):
     # The doubles of every chunk are sorted together once, and the report
     # tallies that one run, a memoryview of the doubles.
     in_bulk(monkeypatch)
@@ -1043,7 +1037,7 @@ def test_analyze_sorts_every_parts_doubles_into_one_run(capsys, tmp_path, monkey
     assert list(tallied[0]) == sorted(map(float, lines))
 
 
-def test_analyze_explains_bad_lines_spread_over_the_parts(capsys, tmp_path, monkeypatch):
+def test_analyze_explains_bad_lines_spread_over_the_chunks(capsys, tmp_path, monkeypatch):
     # Eighty 5-byte lines read in 16-byte chunks of four lines. The 25 bad
     # lines, negatives and non-numbers, are in thirteen of the twenty chunks.
     in_bulk(monkeypatch, chunk_bytes=16)

@@ -218,6 +218,11 @@ def test_log_histogram_rejects_a_bad_value_in_the_words_of_analyze():
         with pytest.raises(DomainError) as from_analyze:
             analyze(values)
         assert str(from_histogram.value) == str(from_analyze.value)
+        # An iterator is read once, so the bad value is still there to name.
+        for read in (lambda: log_histogram(iter(values), 0.5), lambda: analyze(iter(values))):
+            with pytest.raises(DomainError) as from_iterator:
+                read()
+            assert str(from_iterator.value) == str(from_analyze.value)
 
 
 def test_log_histogram_admits_exactly_the_widths_that_give_every_double_a_bin():

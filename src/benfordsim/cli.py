@@ -137,15 +137,16 @@ def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | No
     """Own a command's outputs, keyed by flag, from refusal to rename.
 
     On entry one stat of each path, following links, decides it. A path is
-    refused if it is empty or a directory, if the stat fails other than on a
-    missing file (as on a symlink loop), if its directory takes no new file, or
-    if it names the same file as another output or the input. The file on fd 1
-    or 2 goes through that stream, another existing file that is not regular
-    (/dev/null, a pipe) is written in place; both may take several outputs. Any
-    other goes through a temp file beside its real path, tried here first. The
-    block puts each text in the yielded dict by flag (stdout if its path is
-    None). Only a clean exit writes them; temp files take the permission bits of
-    the files they replace and are renamed once all are written, else removed.
+    refused if it is empty, is a directory or ends in a separator, . or .., if
+    the stat fails other than on a missing file (as on a symlink loop), if its
+    directory takes no new file, or if it names the same file as another output
+    or the input. The file on fd 1 or 2 goes through that stream, another
+    existing file that is not regular (/dev/null, a pipe) is written in place;
+    both may take several outputs. Any other goes through a temp file beside its
+    real path, tried here first. The block puts each text in the yielded dict by
+    flag (stdout if its path is None). Only a clean exit writes them; temp files
+    take the permission bits of the files they replace and are renamed once all
+    are written, else removed.
     """
     seen = {os.path.realpath(input_path): input_name} if input_path else {}
     streams = []
@@ -158,6 +159,8 @@ def _outputs(paths: dict[str, str | None], input_name: str, input_path: str | No
             continue
         if not path:
             raise ConfigError(f"{flag} names an empty path")
+        if os.path.basename(path) in ("", ".", ".."):  # else taken for a new file, and realpath drops the end
+            raise ConfigError(f"cannot write {path}: it names a directory")
         try:
             st = os.stat(path)
         except (FileNotFoundError, NotADirectoryError):
@@ -218,14 +221,18 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     """Report the digit conformance of a dataset file, or explain why it has none.
 
     Opened once (one that is not a regular file, such as a pipe, can be read only
-    once and is held in memory), an input of ``_BULK_BYTES`` or more takes the bulk
-    path, ``_analyze_plain_numbers``; a smaller one, or one turned down, is read from its
-    start by ``_parse_dataset``, so every message, line number and exit code comes from it.
+    once and is held in memory), an input of ``_BULK_BYTES`` or more is parsed by
+    ``_sort_bulk``; a smaller one, or one it turns down, is read from its start by
+    ``_parse_dataset``, so every message, line number and exit code comes from it.
     """
     with _outputs({"--out": args.out}, "the input", args.input) as texts, open(args.input, "rb") as f:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             f = io.BytesIO(f.read())
-        report = _analyze_plain_numbers(f)
+        report = None
+        if f.seek(0, os.SEEK_END) >= _BULK_BYTES:
+            f.seek(0)
+            with contextlib.suppress(ValueError):  # also UnicodeDecodeError and orjson's JSONDecodeError
+                report = stats._report(_sort_bulk(f))
         if report is None:
             f.seek(0)
             values, bad_lines = _parse_dataset(_read_input(f, args.input))
@@ -256,28 +263,13 @@ _AS_JSON_ITEMS = bytes(
 )
 
 
-def _analyze_plain_numbers(f: io.BufferedIOBase) -> stats.BenfordReport | None:
-    """The report of the seekable binary file ``f`` if it holds ``_BULK_BYTES`` or more
-    and each line after the first is one positive finite number, else None. The first
-    line, decoded as ``_read_input`` decodes a file, may be a header to ``_parse_dataset``;
-    after a blank one, the first line that is not blank is a number here and data there.
-    """
-    try:
-        if f.seek(0, os.SEEK_END) < _BULK_BYTES:
-            return None
-        f.seek(0)
-        values, bad_lines = _parse_dataset(f.readline().decode("utf-8-sig"))
-        if bad_lines:
-            return None
-        return stats._report(_sort_bulk(f, values))
-    except ValueError:  # also UnicodeDecodeError and orjson's JSONDecodeError
-        return None
+def _sort_bulk(f: io.BufferedIOBase) -> memoryview:
+    """The values of the lines of the binary file ``f``, sorted by numpy, as a
+    ``memoryview`` of doubles.
 
-
-def _sort_bulk(f: io.BufferedIOBase, head: list[float]) -> memoryview:
-    """The values of ``head`` and of the rest of the lines of the binary file
-    ``f``, sorted by numpy, as a ``memoryview`` of doubles.
-
+    The first line, decoded as ``_read_input`` decodes a file, may be a header to
+    ``_parse_dataset``, which judges it before numpy and orjson are imported; after
+    a blank one, the first line that is not blank is a number here and data there.
     Each chunk of whole lines is mapped by ``_AS_JSON_ITEMS`` and read as one
     JSON array by orjson into one ``array("d")``, which numpy sorts in place.
     A chunk orjson turns down is read once more without its blank lines (empty
@@ -287,6 +279,9 @@ def _sort_bulk(f: io.BufferedIOBase, head: list[float]) -> memoryview:
     and finite, raises ``ValueError``; numpy sorts NaN last, though orjson
     gives none.
     """
+    head, bad_lines = _parse_dataset(f.readline().decode("utf-8-sig"))
+    if bad_lines:
+        raise ValueError("a value is not positive and finite")
     import numpy  # ~0.1 s on a cold start
     import orjson
 

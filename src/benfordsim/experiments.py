@@ -190,8 +190,8 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
     Recognized keys: ball_count, initial_value, cycles, policy ("uniform" or
     "fixed"), ratio (required exactly when policy is fixed), seed, checkpoints
     (comma-separated cycle numbers). '#' starts a comment. A ``seed``
-    argument overrides any seed key in the text and is required when the
-    text has none.
+    argument overrides the seed key of the text, which is still parsed, and
+    is required when the text has none.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -229,12 +229,11 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
     else:
         raise ConfigError(f"{source}: policy must be 'uniform' or 'fixed', got {policy_name!r}")
 
-    if seed is None:
-        if "seed" not in entries:
-            raise MissingSeedError(
-                f"{source}: missing required key 'seed' (or pass one explicitly)"
-            )
-        seed = _parse_number(entries, "seed", source)
+    if "seed" in entries:
+        text_seed = _parse_number(entries, "seed", source)
+        seed = text_seed if seed is None else seed
+    elif seed is None:
+        raise MissingSeedError(f"{source}: missing required key 'seed' (or pass one explicitly)")
 
     if "checkpoints" in entries:
         try:

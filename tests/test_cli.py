@@ -387,6 +387,21 @@ def test_empty_output_path_exits_2_before_running(capsys, tmp_path, command, fla
     assert list(tmp_path.iterdir()) == []
 
 
+@OUTPUT_FLAGS
+@pytest.mark.parametrize("name", ["existing.txt/", "new/", "existing.txt/.", "new/.."])
+def test_output_path_that_ends_in_slash_dot_or_dotdot_exits_2_before_running(capsys, tmp_path, command, flag, name):
+    # Each names a directory, and the shell refuses to write to each; none may
+    # replace existing.txt or create a file.
+    existing = tmp_path / "existing.txt"
+    existing.write_text("earlier\n")
+    argv = command.format(tmp=tmp_path).split()
+    path = argv[argv.index(flag) + 1] = f"{tmp_path}/{name}"
+    refused = f"error: cannot write {path}: it names a directory\n"
+    assert run_cli(capsys, *argv) == (2, "", refused)
+    assert list(tmp_path.iterdir()) == [existing]
+    assert existing.read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize(
     "outputs, refused",
     [
@@ -854,14 +869,14 @@ def in_bulk(monkeypatch, bulk_bytes=1, chunk_bytes=64 << 10):
 
 
 # The 100,000-line datasets (~2.4 MB) are sorted as a list at the default bulk
-# size; every dataset is sorted by numpy, read in 64 KiB chunks, in the second
-# case.
+# size; every dataset is sorted by numpy, read in 64 KiB chunks, in the
+# "-64KiB_chunks" case.
 @pytest.mark.parametrize(
     "dataset, format, bulk",
     [
         pytest.param(dataset, format, bulk, id=f"{dataset}-{format}{suffix}")
         for dataset, format in sorted(GOLDEN_ANALYZE_DIGESTS)
-        for bulk, suffix in ((False, ""), (True, "-64KiB_parts"))
+        for bulk, suffix in ((False, ""), (True, "-64KiB_chunks"))
     ],
 )
 def test_analyze_output_matches_golden_digest(capsys, tmp_path, monkeypatch, dataset, format, bulk):
@@ -928,7 +943,7 @@ def analyze_by_the_line_parser(path, format):
     return 0, cli._render_analysis(stats.analyze(values), format), ""
 
 
-def test_analyze_in_tiny_parts_gives_the_line_parsers_output(capsys, tmp_path, monkeypatch):
+def test_analyze_in_tiny_chunks_gives_the_line_parsers_output(capsys, tmp_path, monkeypatch):
     # Chunks of one to eight bytes, each stretched to a line end, so that a
     # chunk boundary falls after every line of some file.
     rng = random.Random(1505)
@@ -964,7 +979,7 @@ def doubles_next_to_digit_boundaries(ulps=3):
     return sorted(found)
 
 
-def test_analyze_in_parts_gives_the_one_part_output_next_to_every_digit_boundary(
+def test_analyze_in_chunks_gives_the_unchunked_output_next_to_every_digit_boundary(
     capsys, tmp_path, monkeypatch
 ):
     # Each value is in the file twice, once in each half, so most values are
@@ -974,24 +989,26 @@ def test_analyze_in_parts_gives_the_one_part_output_next_to_every_digit_boundary
     lines = [repr(x) for x in rng.sample(values, len(values)) + rng.sample(values, len(values))]
     data = tmp_path / "data.csv"
     data.write_text("".join(f"{line}\n" for line in lines))
-    one_part = [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")]
-    assert one_part[0][0] == 0 and f"n,{len(lines)}" in one_part[0][1]
+    unchunked = [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")]
+    assert unchunked[0][0] == 0 and f"n,{len(lines)}" in unchunked[0][1]
     in_bulk(monkeypatch)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
-    assert [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")] == one_part
+    assert [run_cli(capsys, "analyze", str(data), "--format", format) for format in ("csv", "json")] == unchunked
     assert [type(run) for run in tallied] == [memoryview, memoryview]
 
 
 def test_analyze_explains_bad_lines_in_the_last_chunk(capsys, tmp_path, monkeypatch):
     # The bad lines are all in the last 16-byte chunk.
     in_bulk(monkeypatch, chunk_bytes=16)
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
     data = tmp_path / "data.csv"
     data.write_text("value\n" + "1.5\n" * 40 + "-3\nnan\nwat\n")
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].count("error: line") == 3
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert opened(cli._analyze_plain_numbers, data) is None
+    assert tallied == []
 
 
 def spy_on_tallies(monkeypatch, events):
@@ -1000,18 +1017,18 @@ def spy_on_tallies(monkeypatch, events):
     monkeypatch.setattr(stats, "tally_digits", lambda run: events.append(run) or tally(run))
 
 
-@pytest.mark.parametrize("part", ["child", "parent"])
-def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path, monkeypatch, part):
+@pytest.mark.parametrize("where", ["last", "first"])
+def test_analyze_explains_bad_values_float_accepts(capsys, tmp_path, monkeypatch, where):
     # float() takes every bad line here (1e-400 is 0.0), whether they are the
-    # last lines of the file ("child") or the first ("parent"). orjson turns
-    # down nan and inf, and the check of the ends of the one sorted run the
-    # rest, before anything is tallied.
+    # last lines of the file or the first. orjson turns down nan and inf, and
+    # the check of the ends of the one sorted run the rest, before anything is
+    # tallied.
     in_bulk(monkeypatch, chunk_bytes=16)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
     bad, good = ["nan", "inf", "0", "-0.0", "1e-400"], ["1.5"] * 40
     data = tmp_path / "data.csv"
-    data.write_text("value\n" + "".join(f"{x}\n" for x in (good + bad if part == "child" else bad + good)))
+    data.write_text("value\n" + "".join(f"{x}\n" for x in (good + bad if where == "last" else bad + good)))
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert expected[0] == 1 and expected[2].count("error: line") == 5
     assert run_cli(capsys, "analyze", str(data)) == expected
@@ -1020,7 +1037,7 @@ def test_analyze_explains_a_part_whose_bad_values_float_accepts(capsys, tmp_path
         data.write_text("".join(f"{x}\n" for x in ["1.5"] * 40 + [value]))
         with pytest.raises(ValueError, match="not positive and finite"):
             with open(data, "rb") as f:
-                cli._sort_bulk(f, [])
+                cli._sort_bulk(f)
 
 
 def test_analyze_sorts_every_chunks_doubles_into_one_run(capsys, tmp_path, monkeypatch):
@@ -1105,7 +1122,7 @@ def test_the_bulk_parse_gives_the_doubles_float_gives(monkeypatch):
     numerals = hard_numerals(random.Random(23))
     assert len(numerals) > 19_000
     monkeypatch.setattr(cli, "_CHUNK_BYTES", 64 << 10)
-    parsed = cli._sort_bulk(io.BytesIO("".join(f"{n}\n" for n in numerals).encode()), [])
+    parsed = cli._sort_bulk(io.BytesIO("".join(f"{n}\n" for n in numerals).encode()))
     assert parsed.tobytes() == array("d", sorted(map(float, numerals))).tobytes()
 
 
@@ -1117,11 +1134,13 @@ def test_analyze_gives_the_line_parsers_output_on_a_bulk_file_with_one_odd_line(
     # str.strip() but not to JSON; the explaining parser answers each file.
     # A form feed alone is a blank line, which the fast path drops.
     in_bulk(monkeypatch, chunk_bytes=32)
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
     data = tmp_path / "data.csv"
     data.write_bytes(("value\n" + "1.5\n" * 30 + f"{line}\n" + "2.5\n" * 30).encode())
     expected = analyze_by_the_line_parser(str(data), "csv")
     assert run_cli(capsys, "analyze", str(data)) == expected
-    assert (opened(cli._analyze_plain_numbers, data) is None) == (line != "\x0c")
+    assert (memoryview in map(type, tallied)) == (line == "\x0c")
     if line == "1,5":
         assert expected == (1, "", "error: line 32: not a number: '1,5'\n")
 
@@ -1139,16 +1158,17 @@ def test_analyze_answers_a_bulk_file_with_blank_lines_on_the_fast_path(capsys, t
         lines.insert(1000, " \t\r")
     data = tmp_path / "data.csv"
     data.write_text("".join(f"{line}\n" for line in lines))
+    tallied = []
+    spy_on_tallies(monkeypatch, tallied)
     for format in ("csv", "json"):
         expected = analyze_by_the_line_parser(str(data), format)
         assert expected[0] == 0
-        report = opened(cli._analyze_plain_numbers, data)
-        assert report is not None
-        assert (0, cli._render_analysis(report, format), "") == expected
+        tallied.clear()
         assert run_cli(capsys, "analyze", str(data), "--format", format) == expected
+        assert [type(run) for run in tallied] == [memoryview]
 
 
-def test_import_and_a_small_analyze_load_no_subprocess():
+def test_import_and_a_small_analyze_load_no_json_numpy_orjson_pathlib_subprocess_or_typing():
     # Importing numpy takes ~0.1 s and orjson (which imports json) some ms,
     # which only an analyze of a large file or pipe pays, and json only JSON
     # output. The directories of numpy and orjson are on the path, so an

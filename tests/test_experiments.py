@@ -485,6 +485,12 @@ def test_parse_config_rejections(overrides, message):
         parse_config(config_text(**overrides))
 
 
+def test_parse_config_parses_a_seed_key_the_argument_overrides():
+    with pytest.raises(ConfigError, match="seed must be an integer, got 'banana'"):
+        parse_config(config_text(seed="banana"), seed=1)
+    assert parse_config(config_text(seed="7"), seed=1).seed == 1
+
+
 def test_parse_config_rejects_duplicates_and_bad_lines():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(config_text() + "cycles = 50\n")

@@ -11,7 +11,6 @@ import os
 import random
 import stat
 import sys
-from array import array
 
 from . import stats
 from .errors import BenfordSimError, ConfigError, DomainError, EmptyDataError, MissingSeedError
@@ -270,8 +269,9 @@ def _sort_bulk(f: io.BufferedIOBase) -> memoryview:
     The first line, decoded as ``_read_input`` decodes a file, may be a header to
     ``_parse_dataset``, which judges it before numpy and orjson are imported; after
     a blank one, the first line that is not blank is a number here and data there.
-    Each chunk of whole lines is mapped by ``_AS_JSON_ITEMS`` and read as one
-    JSON array by orjson into one ``array("d")``, which numpy sorts in place.
+    Each chunk of whole lines is mapped by ``_AS_JSON_ITEMS``, read as one JSON
+    array by orjson and packed by ``struct.pack`` onto one buffer of native
+    doubles, which numpy sorts in place.
     A chunk orjson turns down is read once more without its blank lines (empty
     or ASCII whitespace alone, as ``bytes.strip`` sees them), which
     ``_parse_dataset`` skips. A line that is still not one JSON number
@@ -284,13 +284,14 @@ def _sort_bulk(f: io.BufferedIOBase) -> memoryview:
         raise ValueError("a value is not positive and finite")
     import numpy  # ~0.1 s on a cold start
     import orjson
+    import struct
 
     def load(text: bytearray) -> list[float]:
         text = text.translate(_AS_JSON_ITEMS)
         text[0], text[-1] = ord("["), ord("]")
         return orjson.loads(text)
 
-    doubles = array("d", head)
+    doubles = bytearray(struct.pack(f"{len(head)}d", *head))
     while chunk := f.read(_CHUNK_BYTES):
         text = bytearray(b"\n")  # "\n" + lines + "\n" -> "," + items + "," -> "[" + items + "]"
         text += chunk
@@ -302,8 +303,8 @@ def _sort_bulk(f: io.BufferedIOBase) -> memoryview:
         except orjson.JSONDecodeError:
             lines = [line for line in text.split(b"\n") if line.strip()]
             items = load(bytearray(b"\n%b\n" % b"\n".join(lines)))
-        # array.extend walks a list item by item; the constructor sizes once
-        doubles += array("d", items)
+        # struct.pack reads each double directly: ~10-13 ns a value, ~19-30 in array("d", items)
+        doubles += struct.pack(f"{len(items)}d", *items)
     values = numpy.frombuffer(doubles)
     values.sort()
     if not (values.size and 0.0 < values[0] and values[-1] <= sys.float_info.max):
@@ -321,7 +322,7 @@ def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
     values: list[float] = []
     bad: list[tuple[int, str, str]] = []
     first_data_line = True
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_lines(text), 1):
         line = raw.strip()
         if not line:
             continue
@@ -340,6 +341,15 @@ def _parse_dataset(text: str) -> tuple[list[float], list[tuple[int, str, str]]]:
             why = "not strictly positive" if -math.inf < x <= 0.0 else "not finite"
             bad.append((lineno, line, why))
     return values, bad
+
+
+def _lines(text: str):
+    """``text.splitlines()``, ~``_CHUNK_BYTES`` characters of lines at a time, so no list of
+    every line is held. Each piece ends just after a LF, which ends a line after a CR too."""
+    end = 0
+    while end < len(text):
+        start, end = end, text.find("\n", end + _CHUNK_BYTES) + 1 or len(text)
+        yield from text[start:end].splitlines()
 
 
 def _render_analysis(report: stats.BenfordReport, format: str) -> str:

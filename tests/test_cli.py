@@ -710,6 +710,29 @@ def test_parse_dataset_strips_every_kind_of_padding():
     assert _parse_dataset("\x1f-8\u3000\n\x1f\n") == ([], [(1, "-8", "not strictly positive")])
 
 
+def test_parse_dataset_reads_lines_a_few_characters_at_a_time_as_from_one_split(monkeypatch):
+    # A cut just before the "\n" of "\r\n" would add a blank line and shift every
+    # later line number; a dropped last piece would lose a line with no "\n" after it.
+    # Every line break str.splitlines knows.
+    breaks = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    rng = random.Random(30)
+    tokens = ["value", "1.5", " 2e3 ", "", " \t", "-2", "0", "nan", "x y", "\x1f", "7"]
+    texts = ["value\r\n1.5\r\nx\r\n-2\r\n3", "1\r\nx\r\n-2\r\n", "x\n1\n-2", "\r\n" * 5 + "nan"]
+    texts += [
+        "".join(rng.choice(tokens) + rng.choice(breaks) for _ in range(rng.randrange(40)))
+        + rng.choice(["", "8", "-8"])
+        for _ in range(300)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_lines", str.splitlines)  # the reference: enumerate(text.splitlines(), 1)
+        expected = [_parse_dataset(text) for text in texts]
+    assert sum(bool(bad) for _, bad in expected) > 250
+    for chunk_bytes in range(1, 9):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+        assert [_parse_dataset(text) for text in texts] == expected
+        assert [list(cli._lines(text)) for text in texts] == [text.splitlines() for text in texts]
+
+
 def test_analyze_tallies_each_value_once(capsys, monkeypatch):
     from benfordsim import stats
 

@@ -223,27 +223,28 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     once and is held in memory), an input of ``_BULK_BYTES`` or more is parsed by
     ``_sort_bulk``; a smaller one, or one it turns down, is read from its start by
     ``_parse_dataset``, so every message, line number and exit code comes from it.
+    The parser that answers checks each value once; ``stats._report`` reports its sorted run.
     """
     with _outputs({"--out": args.out}, "the input", args.input) as texts, open(args.input, "rb") as f:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             f = io.BytesIO(f.read())
-        report = None
+        xs = None
         if f.seek(0, os.SEEK_END) >= _BULK_BYTES:
             f.seek(0)
             with contextlib.suppress(ValueError):  # also UnicodeDecodeError and orjson's JSONDecodeError
-                report = stats._report(_sort_bulk(f))
-        if report is None:
+                xs = _sort_bulk(f)
+        if xs is None:
             f.seek(0)
-            values, bad_lines = _parse_dataset(_read_input(f, args.input))
+            xs, bad_lines = _parse_dataset(_read_input(f, args.input))
             if bad_lines:
                 shown = [f"line {lineno}: {why}: {line!r}" for lineno, line, why in bad_lines[:20]]
                 if len(bad_lines) > 20:
                     shown.append(f"... and {len(bad_lines) - 20} more bad lines")
                 raise DomainError("\nerror: ".join(shown))
-            if not values:
+            if not xs:
                 raise EmptyDataError(f"{args.input}: no data values found")
-            report = stats.analyze(values)
-        texts["--out"] = _render_analysis(report, args.format)
+            xs.sort()
+        texts["--out"] = _render_analysis(stats._report(xs), args.format)
 
 
 # From this many bytes up, and only then, a file is parsed by orjson, ~1 MiB of whole

@@ -107,25 +107,20 @@ def analyze(values: Iterable[float]) -> BenfordReport:
     """
     values = values if isinstance(values, Sequence) else list(values)  # read an iterator once
     xs = sorted(values)
-    if not _is_positive_run(xs):
-        raise _first_bad_value(values)
+    # A NaN can sort anywhere, so the ends alone do not prove the run good; given
+    # them, a float sum is positive unless a value is NaN. Only a NaN can leave an
+    # int beyond the largest double short of the end, where the sum cannot convert it.
+    try:
+        if xs and not (0.0 < xs[0] and xs[-1] <= sys.float_info.max and sum(xs, 0.0) > 0.0):
+            raise _first_bad_value(values)
+    except OverflowError:
+        raise _first_bad_value(values) from None
     return _report(xs)
 
 
-def _is_positive_run(xs: Sequence[float]) -> bool:
-    """Whether ascending ``xs`` holds only positive values up to the largest
-    double. A NaN can sort anywhere, so the ends alone do not prove that; given
-    them, the sum is positive unless a value is NaN. A sum of ints too large
-    for a double fails at the first float; then each value is checked alone."""
-    try:
-        return not xs or 0.0 < xs[0] and xs[-1] <= sys.float_info.max and sum(xs) > 0.0
-    except OverflowError:
-        return all(x == x for x in xs)
-
-
 def _report(xs: Sequence[float]) -> BenfordReport:
-    """The report of ascending ``xs``, which ``_is_positive_run`` accepts;
-    ``xs`` may be a ``memoryview`` of doubles."""
+    """The report of ascending ``xs``, which ``analyze`` or ``cli._sort_bulk`` has checked
+    positive up to the largest double; ``xs`` may be a ``memoryview`` of doubles."""
     n = len(xs)
     if not n:
         raise EmptyDataError("dataset is empty")

@@ -5,6 +5,7 @@ per criterion. Statistical criteria use ten fixed seeds per scheme; exact
 criteria pin every deterministic number.
 """
 
+import cmath
 import math
 import random
 import statistics
@@ -334,3 +335,123 @@ def test_noise_floor_is_not_reached_at_one_cycle_per_ball():
 def test_noise_floor_is_reached_past_two_cycles_per_ball():
     ratio = mean_ssd_over_floor(500, 2_000)
     criterion(16, "L=500, C=4L: mean SSD * L / K within [0.6, 1.6]", 0.6 <= ratio <= 1.6, f"{ratio:.2f}")
+
+
+# --- the mean square and the large-L limit ----------------------------------------
+
+# S = sum(x**2) is not conserved, but E[S'] = a * S + b holds exactly for one cycle
+# (tests/test_process.py), so from S_0 = L * V**2 the mean S after C cycles is
+# S* + a**C * (S_0 - S*), with S* = b / (1 - a), and S* / L tends to 6 for a uniform ratio.
+MEAN_SQUARE_SEEDS = range(50000, 50200)
+# Four standard errors of each cell's mean S / L over MEAN_SQUARE_SEEDS, keyed by
+# (ratio, C / L); the standard errors read 0.019, 0.095, 0.021, 0.062, 0.024, 0.080.
+MEAN_SQUARE_MARGINS = {
+    (None, 1): 0.076,
+    (None, 5): 0.38,
+    (0.5, 1): 0.086,
+    (0.5, 5): 0.25,
+    (0.85, 1): 0.097,
+    (0.85, 5): 0.32,
+}
+STATIONARY_SEEDS = range(60000, 60012)
+
+
+def mean_square_law(ball_count, ratio):
+    """(a, b) of E[S'] = a * S + b for ``ball_count`` balls of total ``ball_count``; a split
+    takes q * w**2 from S in the mean, q = E[2u(1 - u)]: 1/3 for a uniform ratio."""
+    q = 1.0 / 3.0 if ratio is None else 2.0 * ratio * (1.0 - ratio)
+    a = (1.0 - q / ball_count) * (1.0 - 2.0 / (ball_count * (ball_count + 1)))
+    return a, 2.0 * ball_count / (ball_count + 1)
+
+
+def test_criterion_17_mean_square_follows_its_exact_recursion():
+    ball_count = 100
+    for ratio in (None, 0.5, 0.85):
+        a, b = mean_square_law(ball_count, ratio)
+        stationary = b / (1.0 - a)
+        means = {1: [], 5: []}
+        for s in MEAN_SQUARE_SEEDS:
+            values, rng, done = [1.0] * ball_count, random.Random(s), 0
+            for k, found in means.items():
+                run(values, ratio, rng, k * ball_count - done)
+                done = k * ball_count
+                found.append(math.fsum(x * x for x in values) / ball_count)
+        for k, found in means.items():
+            want = (stationary + a ** (k * ball_count) * (ball_count - stationary)) / ball_count
+            got, margin = statistics.fmean(found), MEAN_SQUARE_MARGINS[ratio, k]
+            criterion(
+                17,
+                f"L=100, ratio {ratio or 'uniform'}, C={k}L: mean S/L within {margin} of the recursion",
+                abs(got - want) <= margin,
+                f"{got:.4f} against {want:.4f}",
+            )
+
+
+def test_criterion_18_stationary_moments_and_log10_spread():
+    # In the L -> inf limit of a uniform ratio, E[x**z] = Gamma(1 + 3z) / Gamma(2 + 2z) for
+    # V = 1: E[x**3] = 72, and log10 x has mean -(gamma + 2) / ln 10 and variance
+    # (5 pi**2 / 6 + 4) / ln(10)**2. E[x**2] is the recursion's stationary S* / L.
+    ball_count = 3_000
+    a, b = mean_square_law(ball_count, None)
+    found = {"E[x^2]": [], "E[x^3]": [], "mean log10 x": [], "sd log10 x": []}
+    for s in STATIONARY_SEEDS:
+        values = run([1.0] * ball_count, None, random.Random(s), 30 * ball_count)
+        logs = [math.log10(x) for x in values]
+        found["E[x^2]"].append(math.fsum(x * x for x in values) / ball_count)
+        found["E[x^3]"].append(math.fsum(x**3 for x in values) / ball_count)
+        found["mean log10 x"].append(statistics.fmean(logs))
+        found["sd log10 x"].append(statistics.pstdev(logs))
+    # Each margin is four standard errors of the mean over STATIONARY_SEEDS: 0.073,
+    # 2.9, 0.0132 and 0.0167.
+    expected = {
+        "E[x^2]": (b / (1.0 - a) / ball_count, 0.29),
+        "E[x^3]": (72.0, 11.6),
+        "mean log10 x": (-(0.5772156649015329 + 2.0) / math.log(10), 0.053),
+        "sd log10 x": (math.sqrt(5.0 * math.pi**2 / 6.0 + 4.0) / math.log(10), 0.067),
+    }
+    for name, (want, margin) in expected.items():
+        got = statistics.fmean(found[name])
+        criterion(
+            18,
+            f"L=3000, C=30L: {name} within {margin} of {want:.5g}",
+            abs(got - want) <= margin,
+            f"{got:.5g}",
+        )
+
+
+def log_gamma(z):
+    """log Gamma(z) for complex z with a positive real part: Stirling's series, once
+    Gamma(z) = Gamma(z + 1) / z has lifted the real part to 10 or more, where the first
+    term left out, 1 / (1188 z**9), is below 1e-12."""
+    shift = 0.0
+    while z.real < 10.0:
+        shift += cmath.log(z)
+        z += 1.0
+    series = 1.0 / (12.0 * z) - 1.0 / (360.0 * z**3) + 1.0 / (1260.0 * z**5) - 1.0 / (1680.0 * z**7)
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series - shift
+
+
+def test_criterion_19_closed_form_digit_law_of_the_limit():
+    for x in (0.5, 3.7, 12.0):
+        assert log_gamma(complex(x)).real == pytest.approx(math.lgamma(x), abs=1e-11)
+    # With y = log10 x mod 1, the Fourier coefficients of y's law are c_k = E[x**(i k tau)],
+    # tau = 2 pi / ln 10, from the Mellin transform above; k > 3 moves no digit by 1e-6.
+    tau = 2.0 * math.pi / math.log(10)
+    c = {k: cmath.exp(log_gamma(1 + 3j * k * tau) - log_gamma(2 + 2j * k * tau)) for k in (1, 2, 3)}
+    law = []
+    for d in range(1, 10):
+        lo, hi = math.log10(d), math.log10(d + 1)
+        turns = {k: -2j * math.pi * k for k in c}
+        waves = sum(c[k] * (cmath.exp(t * hi) - cmath.exp(t * lo)) / t for k, t in turns.items())
+        law.append(100.0 * (hi - lo + 2.0 * waves.real))
+    assert math.fsum(law) == pytest.approx(100.0, abs=1e-9)
+    assert abs(c[1]) == pytest.approx(0.0030364, abs=5e-8)
+    c1_squared = 1.5 * math.sinh(2 * math.pi * tau) / (math.sinh(3 * math.pi * tau) * (1 + 4 * tau**2))
+    assert abs(c[1]) ** 2 == pytest.approx(c1_squared, rel=1e-9)
+    table = (29.9511, 17.6272, 12.5610, 9.7471, 7.9508, 6.7067, 5.7962, 5.1025, 4.5574)
+    criterion(
+        19,
+        "the L -> inf digit law from the Mellin series matches its table within 1e-4 points",
+        all(abs(p - t) <= 1e-4 for p, t in zip(law, table)),
+        f"digit 1 {law[0]:.4f}%, SSD {ssd(law):.4f}",
+    )

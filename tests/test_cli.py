@@ -736,9 +736,12 @@ def test_parse_dataset_reads_lines_a_few_characters_at_a_time_as_from_one_split(
 def test_analyze_tallies_each_value_once(capsys, monkeypatch):
     from benfordsim import stats
 
-    calls, parsed, bulk = [], [], []
+    calls, parsed, bulk, analyzed = [], [], [], []
     tally = stats.tally_digits
     monkeypatch.setattr(stats, "tally_digits", lambda values: calls.append(1) or tally(values))
+    # The parser checked every value, so the report does not check them again.
+    analyze = stats.analyze
+    monkeypatch.setattr(stats, "analyze", lambda values: analyzed.append(values) or analyze(values))
     # A file under the bulk size is read once, whole, by the line parser.
     parse = cli._parse_dataset
     monkeypatch.setattr(cli, "_parse_dataset", lambda text: parsed.append(text) or parse(text))
@@ -748,6 +751,7 @@ def test_analyze_tallies_each_value_once(capsys, monkeypatch):
     assert len(calls) == 1
     assert parsed == [Path(EARTHQUAKE_CSV).read_bytes().decode("utf-8-sig")]
     assert bulk == []
+    assert analyzed == []
 
 
 def test_analyze_earthquake_fixture(capsys):

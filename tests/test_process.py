@@ -174,6 +174,28 @@ def test_single_ball_system_is_stationary():
         assert run([1.0], ratio, random.Random(7), 1000) == [1.0]
 
 
+@pytest.mark.parametrize("ratio", [0.5, 0.85, 0.1])
+@pytest.mark.parametrize("ball_count", [1, 2, 3, 5])
+def test_one_cycle_moves_the_mean_square_by_its_exact_linear_law(ball_count, ratio):
+    # S = sum of x**2 and T = sum of x. A split takes q * w**2 from S, q = 2r(1 - r); the
+    # merge adds twice the product of two distinct balls of the L + 1. Over all L(L + 1)L
+    # equally likely draws (i, j, m), the mean of S' is a * S + b, with a and b below.
+    n, q = ball_count, 2.0 * ratio * (1.0 - ratio)
+    rng = random.Random(1505 + n)
+    values = [rng.uniform(0.01, 10.0) for _ in range(n)]
+    total, square = math.fsum(values), math.fsum(x * x for x in values)
+    a = (1.0 - q / n) * (1.0 - 2.0 / (n * (n + 1)))
+    b = 2.0 * total**2 / (n * (n + 1))
+    after = [
+        math.fsum(x * x for x in one_cycle(values, ratio, [i, j, m])[0])
+        for i in range(n)
+        for j in range(n + 1)
+        for m in range(n)
+    ]
+    assert len(after) == n * (n + 1) * n
+    assert math.fsum(after) / len(after) == pytest.approx(a * square + b, rel=1e-12)
+
+
 # Three balls: indexes below 3 take 2 bits, indexes below 4 take 3 bits.
 
 

@@ -305,6 +305,7 @@ def test_analyze_admits_ints_whose_sum_does_not_fit_in_a_double():
     report = analyze([10**308, 10**308, 1.7e308])
     assert report.n == 3
     assert report.counts == (3, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert analyze([10**308] * 3).counts == (3, 0, 0, 0, 0, 0, 0, 0, 0)  # no float at all
     with pytest.raises(DomainError, match=r"index 2\b.*nan"):
         analyze([10**308, 10**308, math.nan, 1.7e308])
 
@@ -313,6 +314,19 @@ def test_analyze_finds_a_nan_that_sorts_between_good_values():
     values = [1.0, 2.0, math.nan, 3.0, 4.0]
     assert math.isnan(sorted(values)[2])
     with pytest.raises(DomainError, match=r"index 2\b.*nan"):
+        analyze(values)
+
+
+@pytest.mark.parametrize(
+    "values, shown",
+    [([10**400, math.nan, 1.0], "0 .*a magnitude beyond"), ([1.0, math.nan, -(10**400)], "1 .*nan")],
+    ids=["huge_int_first", "huge_negative_int_last"],
+)
+def test_analyze_finds_a_nan_that_leaves_a_huge_int_short_of_the_end(values, shown):
+    # The NaN stops the sort, so the ends pass and the sum meets an int no double holds.
+    xs = sorted(values)
+    assert 0.0 < xs[0] and xs[-1] <= sys.float_info.max
+    with pytest.raises(DomainError, match=f"index {shown}"):
         analyze(values)
 
 

@@ -43,15 +43,16 @@ def _decade(k: int) -> tuple[float | int, ...]:
     after the last, largest d.
     """
     bounds: list[float | int] = []
+    power = 10 ** abs(k)
     for d in range(1, 10):
         if k >= 0:
-            b = d * 10**k
+            b = d * power
             if b <= _LARGEST and float(b) == b:
                 b = float(b)
         else:
             b = float(f"{d}e{k}")  # the nearest double, which may lie below
             num, den = b.as_integer_ratio()
-            if num * 10**-k < d * den:
+            if num * power < d * den:
                 b = math.nextafter(b, math.inf)
         bounds.append(b)
     return tuple(bounds)

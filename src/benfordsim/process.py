@@ -35,6 +35,7 @@ their outputs for a seed.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 
 from .errors import UnderflowError
 
@@ -78,7 +79,7 @@ def run(
     if ratio is not None:
         u = ratio
         v = 1.0 - ratio
-    for _ in range(cycles):
+    for _ in repeat(None, cycles):  # range would make an int per cycle past the small-int cache
         i = bits(k)
         while i >= n:
             i = bits(k)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import repeat
+from operator import truediv
 
 from .digits import tally_digits
 from .errors import DomainError, EmptyDataError
@@ -75,24 +77,33 @@ def log_histogram(values: Iterable[float], bin_width: float) -> list[tuple[int, 
     """
     _check_bin_width(bin_width)
     values = values if isinstance(values, Sequence) else list(values)  # read an iterator once
-    counts: dict[int, int] = {}
-    for x in values:
-        if not 0.0 < x <= sys.float_info.max:
-            raise _first_bad_value(values)
-        b = math.floor(math.log10(x) / bin_width)
-        counts[b] = counts.get(b, 0) + 1
-    return sorted(counts.items())
+    # log10 takes an int beyond the largest double, which max finds, and
+    # refuses zero, a negative or a value that rounds to zero as a double.
+    # max skips a NaN that is not first, and floor refuses it. A Decimal
+    # ordered against a NaN raises decimal.InvalidOperation, an ArithmeticError.
+    try:
+        if not values or max(values) <= sys.float_info.max:
+            bins = map(math.floor, map(truediv, map(math.log10, values), repeat(bin_width)))
+            return sorted(Counter(bins).items())
+    except (ValueError, ArithmeticError):
+        pass
+    raise _first_bad_value(values)
 
 
 def _first_bad_value(values: Sequence[float]) -> DomainError:
     """The error for the first zero, inf, NaN or out-of-range value, else the
-    first negative. A finite magnitude beyond the largest double (a huge int)
-    is not shown, as its repr may be too long to build."""
+    first negative. A finite magnitude beyond the largest double (a huge int),
+    or one that rounds to zero as a double (a tiny ``Fraction``), is not shown,
+    as its repr may be too long to build."""
     for i, x in enumerate(values):
-        if not 0.0 < abs(x) <= sys.float_info.max:
-            huge = math.inf > abs(x) > sys.float_info.max
-            shown = "a magnitude beyond the largest double" if huge else repr(x)
-            return DomainError(f"value at index {i} has no first significant digit: {shown}")
+        m = abs(x)
+        if not 0.0 < m <= sys.float_info.max:
+            shown = "a magnitude beyond the largest double" if math.inf > m > sys.float_info.max else repr(x)
+        elif float(m) == 0.0:
+            shown = "a magnitude below the smallest double"
+        else:
+            continue
+        return DomainError(f"value at index {i} has no first significant digit: {shown}")
     i = next(i for i, x in enumerate(values) if x < 0.0)
     return DomainError(f"value at index {i} is not strictly positive: {values[i]!r}")
 
@@ -102,20 +113,36 @@ def analyze(values: Iterable[float]) -> BenfordReport:
 
     ``qtm`` is q90 / q10 (exactly 1 for constant data); ``oom`` is
     log10(max / min). A bad value raises ``DomainError`` naming its index:
-    the first zero, inf, NaN or magnitude beyond the largest double, else
-    the first negative.
+    the first zero, inf, NaN or magnitude beyond the largest double or below
+    the smallest, else the first negative, else the first value that a float
+    cannot be added to (a ``Decimal`` or a ``str``).
     """
     values = values if isinstance(values, Sequence) else list(values)  # read an iterator once
-    xs = sorted(values)
     # A NaN can sort anywhere, so the ends alone do not prove the run good; given
     # them, a float sum is positive unless a value is NaN. Only a NaN can leave an
     # int beyond the largest double short of the end, where the sum cannot convert it.
+    # The least value must be positive as a double: a tiny Fraction rounds to zero.
+    # A Decimal ordered against a NaN raises decimal.InvalidOperation, an ArithmeticError.
     try:
-        if xs and not (0.0 < xs[0] and xs[-1] <= sys.float_info.max and sum(xs, 0.0) > 0.0):
+        xs = sorted(values)
+        if xs and not (0.0 < float(xs[0]) and xs[-1] <= sys.float_info.max and sum(xs, 0.0) > 0.0):
             raise _first_bad_value(values)
-    except OverflowError:
+    except ArithmeticError:
         raise _first_bad_value(values) from None
+    except TypeError as error:
+        raise (_first_unaddable(values) or error) from None
     return _report(xs)
+
+
+def _first_unaddable(values: Sequence[float]) -> DomainError | None:
+    """The error for the first value that a float cannot be added to, such as a
+    ``Decimal``; None if every value can be (a complex is, but is not ordered)."""
+    for i, x in enumerate(values):
+        try:
+            0.0 + x
+        except TypeError:
+            return DomainError(f"value at index {i} cannot be added to a float: {x!r}")
+    return None
 
 
 def _report(xs: Sequence[float]) -> BenfordReport:

@@ -1218,6 +1218,24 @@ def test_import_and_a_small_analyze_load_no_json_numpy_orjson_pathlib_subprocess
         assert "n,40" in lines
 
 
+def test_a_run_with_every_output_file_loads_no_json_numpy_or_orjson(tmp_path):
+    # A one-shot run is mostly start-up, so its value and histogram files are
+    # written without the milliseconds an orjson or numpy import would cost.
+    src = str(Path(cli.__file__).parents[1])
+    sites = sorted({str(Path(np.__file__).parents[1]), str(Path(orjson.__file__).parents[1])})
+    out, values, hist = (str(tmp_path / name) for name in ("t.csv", "v.txt", "h.csv"))
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}]; sys.path += {sites!r}; "
+        "from benfordsim import cli; "
+        f"code = cli.main(['run', '--preset', 'Small_100', '--seed', '1', '--out', {out!r}, "
+        f"'--emit-values', {values!r}, '--emit-hist', {hist!r}]); "
+        "print(code, sorted({'json', 'numpy', 'orjson'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert all(os.path.getsize(path) > 0 for path in (out, values, hist))
+
+
 def analyze_from_a_fifo(fifo, data):
     """`analyze` in a child process on a new FIFO that ``data`` is written into once."""
     os.mkfifo(fifo)

@@ -181,6 +181,36 @@ def test_digits_stay_exact_when_log10_misses_the_decade(monkeypatch, miss):
     assert digits.tally_digits(numpy_sorted(values)) == tuple(expected[d] for d in range(1, 10))
 
 
+def decade_built_per_digit(k):
+    """``_decade(k)`` as it was built with the power of ten raised once per digit."""
+    bounds = []
+    for d in range(1, 10):
+        if k >= 0:
+            b = d * 10**k
+            if b <= sys.float_info.max and float(b) == b:
+                b = float(b)
+        else:
+            b = float(f"{d}e{k}")
+            num, den = b.as_integer_ratio()
+            if num * 10**-k < d * den:
+                b = math.nextafter(b, math.inf)
+        bounds.append(b)
+    return bounds
+
+
+def test_every_decade_table_equals_the_per_digit_build():
+    # The power of ten is raised once per decade; no entry of any table of the
+    # double range may change value or type.
+    for k in range(-324, 309):
+        expected = decade_built_per_digit(k)
+        assert [(type(b), b) for b in digits._decade.__wrapped__(k)] == [(type(b), b) for b in expected], k
+        least = []
+        for b in expected:
+            x = float(b) if b <= sys.float_info.max else math.inf
+            least.append(math.nextafter(x, math.inf) if x < b else x)
+        assert list(digits._least_doubles.__wrapped__(k)) == least, k
+
+
 def test_import_builds_no_table_and_loads_no_decimal():
     # Each decade's boundaries wait for the first digit lookup that needs them.
     code = (

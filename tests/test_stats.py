@@ -1,11 +1,14 @@
 import math
 import random
+import struct
 import sys
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from benfordsim import (
     BENFORD_PCT,
@@ -245,6 +248,82 @@ def test_log_histogram_partitions_the_data(values, bin_width):
         assert any(b == index for index, _ in bins)
 
 
+def histogram_by_the_value(values, bin_width):
+    """``log_histogram`` of good ``values`` as a per-value loop over a dict."""
+    counts = {}
+    for x in values:
+        b = math.floor(math.log10(x) / bin_width)
+        counts[b] = counts.get(b, 0) + 1
+    return sorted(counts.items())
+
+
+# Any positive double, drawn as a bit pattern so that subnormals are as likely
+# as any other exponent, plus the two ends; ints and Fractions beside them.
+positive_doubles = st.one_of(
+    st.integers(1, 0x7FEFFFFFFFFFFFFF).map(lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]),
+    st.sampled_from([5e-324, sys.float_info.max]),
+)
+good_values = st.one_of(
+    positive_doubles,
+    st.integers(1, 10**308),
+    st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)),
+)
+good_lists = st.lists(good_values, min_size=1, max_size=40)
+histogram_widths = st.floats(min_value=2e-306, max_value=10.0)
+bad_values = {
+    "zero": st.just(0.0),
+    "minus_zero": st.just(-0.0),
+    "inf": st.just(math.inf),
+    "minus_inf": st.just(-math.inf),
+    "nan": st.just(math.nan),
+    "10**400": st.just(10**400),
+    "tiny_fraction": st.just(Fraction(1, 10**400)),
+    "negative": good_values.map(lambda x: -x),
+}
+
+
+@given(good_lists, histogram_widths)
+def test_log_histogram_gives_the_bins_of_the_per_value_loop(values, bin_width):
+    expected = histogram_by_the_value(values, bin_width)
+    assert log_histogram(values, bin_width) == expected
+    assert log_histogram(iter(values), bin_width) == expected
+
+
+@pytest.mark.parametrize("bad", bad_values.values(), ids=bad_values.keys())
+@settings(max_examples=50)
+@given(values=good_lists, at=st.integers(0, 40), bin_width=histogram_widths, data=st.data())
+def test_log_histogram_rejects_a_bad_value_anywhere_in_the_words_of_analyze(bad, values, at, bin_width, data):
+    values.insert(at % (len(values) + 1), data.draw(bad))
+    with pytest.raises(DomainError) as from_analyze:
+        analyze(values)
+    for given_values in (values, iter(values)):
+        with pytest.raises(DomainError) as from_histogram:
+            log_histogram(given_values, bin_width)
+        assert str(from_histogram.value) == str(from_analyze.value)
+
+
+def test_log_histogram_takes_decimals():
+    assert log_histogram([Decimal("1.5"), Decimal("2"), Decimal("250")], 1.0) == [(0, 2), (2, 1)]
+    # A Decimal cannot be ordered against a NaN, and the NaN is still named.
+    with pytest.raises(DomainError, match=r"^value at index 1 has no first significant digit: nan$"):
+        log_histogram([Decimal("1.5"), math.nan, Decimal("2")], 1.0)
+
+
+@pytest.mark.parametrize("tiny", [Fraction(1, 10**400), Fraction(-1, 10**400), Decimal("1e-400")])
+def test_a_value_that_rounds_to_zero_as_a_double_is_out_of_range(tiny):
+    message = "value at index 1 has no first significant digit: a magnitude below the smallest double"
+    values = [2.0, tiny, -3.0, 0.5]
+    with pytest.raises(DomainError) as from_histogram:
+        log_histogram(values, 1.0)
+    assert str(from_histogram.value) == message
+    for data in (values, [tiny], [0.5, tiny]):
+        with pytest.raises(DomainError) as from_analyze:
+            analyze(data)
+        assert str(from_analyze.value) == message.replace("index 1", f"index {data.index(tiny)}")
+    # The least double, and a Fraction that rounds up to it, are in range.
+    assert log_histogram([5e-324, Fraction(3, 10**324)], 1.0) == [(-324, 2)]
+
+
 # --- analyze -----------------------------------------------------------------
 
 
@@ -308,6 +387,30 @@ def test_analyze_admits_ints_whose_sum_does_not_fit_in_a_double():
     assert analyze([10**308] * 3).counts == (3, 0, 0, 0, 0, 0, 0, 0, 0)  # no float at all
     with pytest.raises(DomainError, match=r"index 2\b.*nan"):
         analyze([10**308, 10**308, math.nan, 1.7e308])
+
+
+def test_analyze_names_the_first_value_a_float_cannot_be_added_to():
+    with pytest.raises(DomainError) as exc:
+        analyze([Decimal("1.5"), Decimal("2")])
+    assert str(exc.value) == "value at index 0 cannot be added to a float: Decimal('1.5')"
+    with pytest.raises(DomainError, match=r"^value at index 2 cannot be added to a float: Decimal\('3'\)$"):
+        analyze(iter([2.0, Fraction(1, 3), Decimal("3"), 4]))
+    # A value with no first digit, then a negative, is still named first.
+    with pytest.raises(DomainError, match=r"^value at index 1 has no first significant digit: Decimal\('0'\)$"):
+        analyze([Decimal("1.5"), Decimal("0"), Decimal("-2")])
+    with pytest.raises(DomainError, match=r"^value at index 2 is not strictly positive: Decimal\('-2'\)$"):
+        analyze([Decimal("1.5"), Decimal("2"), Decimal("-2")])
+    # A Decimal cannot be ordered against a NaN, and the NaN is still named.
+    with pytest.raises(DomainError, match=r"^value at index 1 has no first significant digit: nan$"):
+        analyze([Decimal("1.5"), math.nan, Decimal("2")])
+    # A string cannot be ordered against a float either.
+    with pytest.raises(DomainError, match=r"^value at index 1 cannot be added to a float: '2'$"):
+        analyze([1.5, "2"])
+    # A complex can be added to a float but has no order: its TypeError stands.
+    with pytest.raises(TypeError, match="complex"):
+        analyze([1j])
+    # Floats, ints, Fractions, bools and numpy scalars can all be added to a float.
+    assert analyze([1.5, 2, Fraction(1, 3), True, np.float64(7.0), np.int64(9)]).n == 6
 
 
 def test_analyze_finds_a_nan_that_sorts_between_good_values():

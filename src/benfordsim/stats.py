@@ -79,8 +79,8 @@ def log_histogram(values: Iterable[float], bin_width: float) -> list[tuple[int, 
     values = values if isinstance(values, Sequence) else list(values)  # read an iterator once
     # log10 takes an int beyond the largest double, which max finds, and
     # refuses zero, a negative or a value that rounds to zero as a double.
-    # max skips a NaN that is not first, and floor refuses it. A Decimal
-    # ordered against a NaN raises decimal.InvalidOperation, an ArithmeticError.
+    # max skips a NaN that is not first, and floor refuses it. Ordering a Decimal
+    # NaN, or a Decimal against a NaN, raises decimal.InvalidOperation, an ArithmeticError.
     try:
         if not values or max(values) <= sys.float_info.max:
             bins = map(math.floor, map(truediv, map(math.log10, values), repeat(bin_width)))
@@ -96,8 +96,12 @@ def _first_bad_value(values: Sequence[float]) -> DomainError:
     or one that rounds to zero as a double (a tiny ``Fraction``), is not shown,
     as its repr may be too long to build."""
     for i, x in enumerate(values):
-        m = abs(x)
-        if not 0.0 < m <= sys.float_info.max:
+        try:
+            m = abs(x)
+            bad = not 0.0 < m <= sys.float_info.max
+        except ArithmeticError:  # a Decimal NaN cannot be ordered, nor a signaling one made positive
+            m, bad = math.nan, True
+        if bad:
             shown = "a magnitude beyond the largest double" if math.inf > m > sys.float_info.max else repr(x)
         elif float(m) == 0.0:
             shown = "a magnitude below the smallest double"
@@ -122,10 +126,12 @@ def analyze(values: Iterable[float]) -> BenfordReport:
     # them, a float sum is positive unless a value is NaN. Only a NaN can leave an
     # int beyond the largest double short of the end, where the sum cannot convert it.
     # The least value must be positive as a double: a tiny Fraction rounds to zero.
-    # A Decimal ordered against a NaN raises decimal.InvalidOperation, an ArithmeticError.
+    # Ordering a Decimal NaN, or a Decimal against a NaN, raises decimal.InvalidOperation,
+    # an ArithmeticError. The greatest value is ordered before the least is converted:
+    # float() of a lone signaling NaN, or of a lone str, raises ValueError.
     try:
         xs = sorted(values)
-        if xs and not (0.0 < float(xs[0]) and xs[-1] <= sys.float_info.max and sum(xs, 0.0) > 0.0):
+        if xs and not (xs[-1] <= sys.float_info.max and 0.0 < float(xs[0]) and sum(xs, 0.0) > 0.0):
             raise _first_bad_value(values)
     except ArithmeticError:
         raise _first_bad_value(values) from None

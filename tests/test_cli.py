@@ -896,19 +896,25 @@ def in_bulk(monkeypatch, bulk_bytes=1, chunk_bytes=64 << 10):
 
 
 # The 100,000-line datasets (~2.4 MB) are sorted as a list at the default bulk
-# size; every dataset is sorted by numpy, read in 64 KiB chunks, in the
-# "-64KiB_chunks" case.
+# size; every dataset is sorted by numpy in the "-*_chunks" cases, read in
+# chunks of 64 KiB, of the default size, or of 1 MiB, the default before it.
 @pytest.mark.parametrize(
-    "dataset, format, bulk",
+    "dataset, format, chunk_bytes",
     [
-        pytest.param(dataset, format, bulk, id=f"{dataset}-{format}{suffix}")
+        pytest.param(dataset, format, chunk_bytes, id=f"{dataset}-{format}{suffix}")
         for dataset, format in sorted(GOLDEN_ANALYZE_DIGESTS)
-        for bulk, suffix in ((False, ""), (True, "-64KiB_chunks"))
+        for chunk_bytes, suffix in (
+            (None, ""),
+            (64 << 10, "-64KiB_chunks"),
+            (cli._CHUNK_BYTES, "-default_chunks"),
+            (1 << 20, "-1MiB_chunks"),
+        )
     ],
 )
-def test_analyze_output_matches_golden_digest(capsys, tmp_path, monkeypatch, dataset, format, bulk):
+def test_analyze_output_matches_golden_digest(capsys, tmp_path, monkeypatch, dataset, format, chunk_bytes):
+    bulk = chunk_bytes is not None
     if bulk:
-        in_bulk(monkeypatch)
+        in_bulk(monkeypatch, chunk_bytes=chunk_bytes)
     tallied = []
     spy_on_tallies(monkeypatch, tallied)
     data = tmp_path / "data.csv"

@@ -309,6 +309,30 @@ def test_log_histogram_takes_decimals():
         log_histogram([Decimal("1.5"), math.nan, Decimal("2")], 1.0)
 
 
+@pytest.mark.parametrize(
+    "values, i",
+    [
+        ([Decimal("1.5"), Decimal("NaN")], 1),
+        ([Decimal("NaN"), Decimal("1.5")], 0),
+        ([Decimal("NaN")], 0),
+        ([2.0, Decimal("NaN"), Decimal("-1")], 1),
+        ([Decimal("sNaN")], 0),
+        ([Decimal("1.5"), Decimal("sNaN")], 1),
+    ],
+    ids=["nan_last", "nan_first", "nan_alone", "nan_then_negative", "snan_alone", "snan_last"],
+)
+def test_a_decimal_nan_has_no_first_significant_digit(values, i):
+    # A Decimal NaN raises decimal.InvalidOperation when ordered, and a
+    # signaling one also when compared for equality or made positive.
+    message = f"value at index {i} has no first significant digit: {values[i]!r}"
+    with pytest.raises(DomainError) as from_analyze:
+        analyze(values)
+    assert str(from_analyze.value) == message
+    with pytest.raises(DomainError) as from_histogram:
+        log_histogram(values, 0.25)
+    assert str(from_histogram.value) == message
+
+
 @pytest.mark.parametrize("tiny", [Fraction(1, 10**400), Fraction(-1, 10**400), Decimal("1e-400")])
 def test_a_value_that_rounds_to_zero_as_a_double_is_out_of_range(tiny):
     message = "value at index 1 has no first significant digit: a magnitude below the smallest double"
@@ -406,6 +430,8 @@ def test_analyze_names_the_first_value_a_float_cannot_be_added_to():
     # A string cannot be ordered against a float either.
     with pytest.raises(DomainError, match=r"^value at index 1 cannot be added to a float: '2'$"):
         analyze([1.5, "2"])
+    with pytest.raises(DomainError, match=r"^value at index 0 cannot be added to a float: 'abc'$"):
+        analyze(["abc"])
     # A complex can be added to a float but has no order: its TypeError stands.
     with pytest.raises(TypeError, match="complex"):
         analyze([1j])

@@ -178,10 +178,18 @@ def render_table(records: Sequence[CheckpointRecord], format: str = "csv") -> st
     raise ConfigError(f"unknown table format {format!r}; use 'csv' or 'json'")
 
 
-_CONFIG_KEYS = frozenset(
-    {"ball_count", "initial_value", "cycles", "policy", "ratio", "seed", "checkpoints"}
-)
-_REQUIRED_KEYS = ("ball_count", "initial_value", "cycles", "policy")
+# Every config key once, in the order its value is checked: what the value must be, how it
+# is read (a malformed value raises ValueError), and whether a config must give it.
+# policy reads as 0 for uniform and 1 for fixed.
+_CONFIG_FIELDS: Mapping[str, tuple] = {
+    "ball_count": ("an integer", int, True),
+    "initial_value": ("a number", float, True),
+    "cycles": ("an integer", int, True),
+    "policy": ("'uniform' or 'fixed'", ("uniform", "fixed").index, True),
+    "ratio": ("a number", float, False),
+    "seed": ("an integer", int, False),
+    "checkpoints": ("comma-separated integers", lambda v: tuple(map(int, v.split(","))), False),
+}
 
 
 def parse_config(text: str, *, seed: int | None = None, source: str = "<config>") -> ExperimentConfig:
@@ -189,9 +197,9 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
 
     Recognized keys: ball_count, initial_value, cycles, policy ("uniform" or
     "fixed"), ratio (required exactly when policy is fixed), seed, checkpoints
-    (comma-separated cycle numbers). '#' starts a comment. A ``seed``
-    argument overrides the seed key of the text, which is still parsed, and
-    is required when the text has none.
+    (comma-separated cycle numbers, by default the last cycle). '#' starts a
+    comment. A ``seed`` argument overrides the seed key of the text, which is
+    still parsed, and is required when the text has none.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -203,62 +211,30 @@ def parse_config(text: str, *, seed: int | None = None, source: str = "<config>"
         value = value.strip()
         if not sep or not value:
             raise ConfigError(f"{source}, line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{source}, line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"{source}, line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
+    for key, (_, _, required) in _CONFIG_FIELDS.items():
+        if required and key not in entries:
             raise ConfigError(f"{source}: missing required key {key!r}")
 
-    ball_count = _parse_number(entries, "ball_count", source)
-    initial_value = _parse_number(entries, "initial_value", source, float)
-    cycles = _parse_number(entries, "cycles", source)
-
-    policy_name = entries["policy"]
-    if policy_name == "uniform":
-        if "ratio" in entries:
-            raise ConfigError(f"{source}: 'ratio' is only valid with policy = fixed")
-        ratio = None
-    elif policy_name == "fixed":
-        if "ratio" not in entries:
+    fields: dict = {"ratio": None}
+    for key, (what, read, _) in _CONFIG_FIELDS.items():
+        if key in entries:
+            try:
+                fields[key] = read(entries[key])
+            except ValueError:
+                raise ConfigError(f"{source}: {key} must be {what}, got {entries[key]!r}") from None
+        elif key == "seed" and seed is None:
+            raise MissingSeedError(f"{source}: missing required key 'seed' (or pass one explicitly)")
+        if key == "policy" and fields.pop("policy") != ("ratio" in entries):
+            if "ratio" in entries:
+                raise ConfigError(f"{source}: 'ratio' is only valid with policy = fixed")
             raise ConfigError(f"{source}: policy = fixed requires a 'ratio' key")
-        ratio = _parse_number(entries, "ratio", source, float)
-    else:
-        raise ConfigError(f"{source}: policy must be 'uniform' or 'fixed', got {policy_name!r}")
-
-    if "seed" in entries:
-        text_seed = _parse_number(entries, "seed", source)
-        seed = text_seed if seed is None else seed
-    elif seed is None:
-        raise MissingSeedError(f"{source}: missing required key 'seed' (or pass one explicitly)")
-
-    if "checkpoints" in entries:
-        try:
-            checkpoints = tuple(int(c.strip()) for c in entries["checkpoints"].split(","))
-        except ValueError:
-            raise ConfigError(
-                f"{source}: checkpoints must be comma-separated integers, got "
-                f"{entries['checkpoints']!r}"
-            ) from None
-    else:
-        checkpoints = (cycles,)
-
-    return ExperimentConfig(
-        ball_count=ball_count,
-        initial_value=initial_value,
-        cycles=cycles,
-        ratio=ratio,
-        seed=seed,
-        checkpoints=checkpoints,
-    )
-
-
-def _parse_number(entries: Mapping[str, str], key: str, source: str, kind: type = int) -> int | float:
-    try:
-        return kind(entries[key])
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{source}: {key} must be {what}, got {entries[key]!r}") from None
+    if seed is not None:
+        fields["seed"] = seed
+    fields.setdefault("checkpoints", (fields["cycles"],))
+    return ExperimentConfig(**fields)

@@ -152,8 +152,9 @@ def _first_unaddable(values: Sequence[float]) -> DomainError | None:
 
 
 def _report(xs: Sequence[float]) -> BenfordReport:
-    """The report of ascending ``xs``, which ``analyze`` or ``cli._sort_bulk`` has checked
-    positive up to the largest double; ``xs`` may be a ``memoryview`` of doubles."""
+    """The report of ascending ``xs``, checked positive up to the largest double by ``analyze``,
+    ``cli._sort_bulk`` or ``cli._parse_dataset`` (whose list ``cli.cmd_analyze`` sorts);
+    ``xs`` may be a ``memoryview`` of doubles."""
     n = len(xs)
     if not n:
         raise EmptyDataError("dataset is empty")

@@ -21,6 +21,7 @@ from benfordsim import (
     run_experiment,
     scheme_preset,
 )
+from benfordsim.errors import MissingSeedError
 from benfordsim.experiments import CSV_HEADER, PRESET_NAMES
 from benfordsim.process import run
 
@@ -501,3 +502,55 @@ def test_parse_config_rejects_duplicates_and_bad_lines():
 def test_parse_config_requires_core_keys():
     with pytest.raises(ConfigError, match="ball_count"):
         parse_config("cycles = 10\ninitial_value = 1\npolicy = uniform\nseed = 1")
+
+
+@pytest.mark.parametrize(
+    "overrides, error, message",
+    [
+        (dict(ball_count="many", policy=None), ConfigError, "<config>: missing required key 'policy'"),
+        (dict(cycles="soon", seed="banana"), ConfigError, "<config>: cycles must be an integer, got 'soon'"),
+        (
+            dict(policy="sometimes", ratio="half"),
+            ConfigError,
+            "<config>: policy must be 'uniform' or 'fixed', got 'sometimes'",
+        ),
+        (
+            dict(policy="fixed", checkpoints="1; 2"),
+            ConfigError,
+            "<config>: policy = fixed requires a 'ratio' key",
+        ),
+        (
+            dict(seed=None, checkpoints="x"),
+            MissingSeedError,
+            "<config>: missing required key 'seed' (or pass one explicitly)",
+        ),
+    ],
+    ids=[
+        "missing_before_bad", "cycles_before_seed", "policy_before_ratio",
+        "ratio_required_before_checkpoints", "missing_seed_before_checkpoints",
+    ],
+)
+def test_parse_config_reports_the_first_of_two_faults_in_key_order(overrides, error, message):
+    # cli._resolve_config retries with a generated seed on MissingSeedError alone.
+    with pytest.raises(ConfigError) as info:
+        parse_config(config_text(**overrides))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_every_preset_round_trips_through_a_config_file_with_every_key(tmp_path):
+    for name in PRESET_NAMES:
+        preset = scheme_preset(name, seed=2**64 - 1 - len(name))
+        lines = [
+            f"ball_count = {preset.ball_count}",
+            f"initial_value = {preset.initial_value!r}",
+            f"cycles = {preset.cycles}",
+            f"policy = {'uniform' if preset.ratio is None else 'fixed'}",
+            f"seed = {preset.seed}",
+            f"checkpoints = {', '.join(map(str, preset.checkpoints))}",
+        ]
+        if preset.ratio is not None:
+            lines.append(f"ratio = {preset.ratio!r}")
+        path = tmp_path / f"{name}.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert parse_config(path.read_text(), source=str(path)) == preset
